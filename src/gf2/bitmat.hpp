@@ -1,8 +1,8 @@
 // Dense GF(2) matrix with word-parallel row operations.
 //
-// Dense elimination is the workhorse behind the systematic encoder:
-// for the CCSDS C2 code it reduces the 1022x8176 parity-check matrix
-// in well under a second, once, at code construction time.
+// Dense Gauss-Jordan elimination (RowReduce) is the textbook reference
+// for RREF; the encoder's rank data comes from LdpcCode's sparse,
+// column-wise elimination instead, and the tests check the two agree.
 #pragma once
 
 #include <cstddef>

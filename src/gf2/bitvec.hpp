@@ -4,6 +4,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "util/contracts.hpp"
@@ -69,6 +70,9 @@ class BitVec {
 
   /// Raw word access (read-only), for bulk algorithms.
   const std::vector<std::uint64_t>& words() const { return words_; }
+  /// Raw word access (writable), for bulk algorithms. Writers must
+  /// leave the bits past size() zero.
+  std::span<std::uint64_t> mutable_words() { return words_; }
 
  private:
   void CheckIndex(std::size_t i) const {

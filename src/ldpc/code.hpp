@@ -2,9 +2,12 @@
 // and encoding need — the Tanner graph, the rank structure, and
 // syndrome computation.
 //
-// Rank/RREF data (needed only by the encoder) is computed lazily and
-// cached, because decoding-only users should not pay for a dense
-// elimination of a 1022x8176 matrix.
+// Rank data (pivot/information columns and the RREF row transform the
+// encoder solves with) is computed lazily and cached, because
+// decoding-only users should not pay for the elimination. The
+// elimination runs over H's columns in the m-dimensional check space,
+// so its working set is O(m^2) bits; the dense m x n RREF is never
+// formed.
 #pragma once
 
 #include <cstdint>
@@ -50,8 +53,27 @@ class LdpcCode {
   const std::vector<std::size_t>& InfoCols() const;
   /// Parity positions (pivot columns), ascending. size() == rank.
   const std::vector<std::size_t>& PivotCols() const;
-  /// Reduced row echelon form of H (rank rows meaningful).
-  const gf2::BitMat& Rref() const;
+  /// The row transform T (Rank() x num_checks()) with T·H = RREF(H),
+  /// stored as packed columns: column c is the Rank()-bit vector
+  /// T[:, c], bit i at bit i % 64 of word i / 64 of Column(c). Row i
+  /// of T belongs to pivot column PivotCols()[i]. Given the syndrome
+  /// s = H·x of a word x that is zero on the pivot columns, the parity
+  /// bits that complete x to a codeword are T·s — the XOR of the
+  /// columns at the set bits of s.
+  class RrefTransform {
+   public:
+    /// 64-bit words per column: ceil(rank / 64).
+    std::size_t words() const { return words_; }
+    std::span<const std::uint64_t> Column(std::size_t c) const {
+      return {cols_.data() + c * words_, words_};
+    }
+
+   private:
+    friend class LdpcCode;
+    std::size_t words_ = 0;
+    std::vector<std::uint64_t> cols_;
+  };
+  const RrefTransform& Transform() const;
 
   /// Syndrome H x (x as 0/1 bytes of length n).
   gf2::BitVec Syndrome(const std::vector<std::uint8_t>& x) const;
@@ -59,12 +81,13 @@ class LdpcCode {
 
  private:
   struct RankData {
-    gf2::BitMat rref;
+    RrefTransform transform;
     std::size_t rank = 0;
     std::vector<std::size_t> pivot_cols;
     std::vector<std::size_t> info_cols;
   };
   const RankData& EnsureRankData() const;
+  static RankData Eliminate(const gf2::SparseMat& h);
 
   gf2::SparseMat h_;
   tanner::Graph graph_;

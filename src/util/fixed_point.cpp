@@ -18,11 +18,4 @@ LlrQuantizer::LlrQuantizer(int width_bits, double scale)
   CLDPC_EXPECTS(scale > 0.0, "quantizer scale must be positive");
 }
 
-Fixed LlrQuantizer::Quantize(double llr) const {
-  const double scaled = llr * scale_;
-  // Round to nearest, then saturate symmetrically.
-  const auto q = static_cast<Fixed>(std::lround(scaled));
-  return SaturateSymmetric(q, width_bits_);
-}
-
 }  // namespace cldpc

@@ -56,8 +56,28 @@ struct DyadicFraction {
 /// Find the dyadic fraction with the given shift closest to `value`.
 DyadicFraction NearestDyadic(double value, int shift);
 
+/// round(llr * scale) to nearest, ties away from zero, saturated to
+/// [-max, +max] — computed so that every input has a defined result:
+/// the product is clamped in double *before* any integer conversion
+/// (huge LLRs saturate instead of wrapping, ±inf give ±max) and NaN
+/// gives 0. After the clamp |s| <= max < 2^31, so s - trunc(s) is
+/// exact and comparing it with ±0.5 rounds exactly like std::lround;
+/// and since max is an integer, clamping before rounding equals
+/// rounding before clamping. Branch-free, so a loop over a frame
+/// vectorizes.
+inline Fixed QuantizeLlr(double llr, double scale, Fixed max) {
+  const double bound = static_cast<double>(max);
+  double s = llr * scale;
+  s = s == s ? s : 0.0;
+  s = s > bound ? bound : s;
+  s = s < -bound ? -bound : s;
+  const auto t = static_cast<Fixed>(s);  // truncates toward zero
+  const double rem = s - static_cast<double>(t);
+  return t + static_cast<Fixed>(rem >= 0.5) - static_cast<Fixed>(rem <= -0.5);
+}
+
 /// Uniform mid-tread quantizer mapping a real LLR to a W-bit symmetric
-/// fixed-point word: q = round(llr * scale), saturated.
+/// fixed-point word: q = round(llr * scale), saturated (QuantizeLlr).
 ///
 /// `scale` plays the role of the analog front-end gain; the default in
 /// the decoders is chosen so that the typical channel LLR range at the
@@ -66,7 +86,7 @@ class LlrQuantizer {
  public:
   LlrQuantizer(int width_bits, double scale);
 
-  Fixed Quantize(double llr) const;
+  Fixed Quantize(double llr) const { return QuantizeLlr(llr, scale_, max_); }
   /// Midpoint reconstruction (for analysis / plotting only).
   double Dequantize(Fixed q) const { return static_cast<double>(q) / scale_; }
 

@@ -5,12 +5,6 @@
 
 namespace cldpc {
 
-namespace {
-constexpr std::uint64_t Rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-}  // namespace
-
 std::uint64_t DeriveSeed(std::uint64_t base, std::uint64_t a, std::uint64_t b,
                          std::uint64_t c) {
   // Feed each index through the mixer so that nearby indices yield
@@ -31,22 +25,6 @@ Xoshiro256pp::Xoshiro256pp(std::uint64_t seed) {
   // xoshiro authors; avoids the all-zero state by construction.
   SplitMix64 mix(seed);
   for (auto& word : s_) word = mix.Next();
-}
-
-Xoshiro256pp::result_type Xoshiro256pp::Next() {
-  const std::uint64_t result = Rotl(s_[0] + s_[3], 23) + s_[0];
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = Rotl(s_[3], 45);
-  return result;
-}
-
-double Xoshiro256pp::NextDouble() {
-  return static_cast<double>(Next() >> 11) * 0x1.0p-53;
 }
 
 std::uint64_t Xoshiro256pp::NextBounded(std::uint64_t bound) {

@@ -49,10 +49,25 @@ class Xoshiro256pp {
   }
 
   result_type operator()() { return Next(); }
-  result_type Next();
+  // Inline: the frame generators draw one word per information bit
+  // and two per noise pair, so a call per draw costs as much as the
+  // generator itself.
+  result_type Next() {
+    const std::uint64_t result = Rotl(s_[0] + s_[3], 23) + s_[0];
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = Rotl(s_[3], 45);
+    return result;
+  }
 
   /// Uniform double in [0, 1) with 53 bits of precision.
-  double NextDouble();
+  double NextDouble() {
+    return static_cast<double>(Next() >> 11) * 0x1.0p-53;
+  }
 
   /// Uniform integer in [0, bound). Unbiased (rejection sampling).
   std::uint64_t NextBounded(std::uint64_t bound);
@@ -61,6 +76,10 @@ class Xoshiro256pp {
   bool NextBit() { return (Next() >> 63) != 0; }
 
  private:
+  static constexpr std::uint64_t Rotl(std::uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
   std::array<std::uint64_t, 4> s_{};
 };
 

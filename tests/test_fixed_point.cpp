@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "util/contracts.hpp"
 
@@ -109,6 +110,77 @@ TEST(LlrQuantizer, RejectsBadConfig) {
   EXPECT_THROW(LlrQuantizer(1, 1.0), ContractViolation);
   EXPECT_THROW(LlrQuantizer(6, 0.0), ContractViolation);
   EXPECT_THROW(LlrQuantizer(6, -1.0), ContractViolation);
+}
+
+// The quantizer as it used to be written: std::lround, then saturate.
+// Exact wherever |llr * scale| < 2^31, where lround's result fits.
+Fixed LroundOracle(const LlrQuantizer& q, double llr) {
+  return SaturateSymmetric(static_cast<Fixed>(std::lround(llr * q.scale())),
+                           q.width_bits());
+}
+
+TEST(LlrQuantizer, TiesRoundAwayFromZero) {
+  const LlrQuantizer q(6, 2.0);
+  for (int k = -80; k <= 80; ++k) {
+    const double llr = k * 0.5 / 2.0;  // scaled: exactly k / 2
+    const int sign = k < 0 ? -1 : 1;
+    const Fixed want = SaturateSymmetric(k % 2 == 0 ? k / 2 : (k + sign) / 2, 6);
+    EXPECT_EQ(q.Quantize(llr), want) << "k " << k;
+    EXPECT_EQ(q.Quantize(llr), LroundOracle(q, llr)) << "k " << k;
+  }
+  // The largest double below 0.5: a floor(x + 0.5) rounding would
+  // give 1.
+  const LlrQuantizer unit(6, 1.0);
+  EXPECT_EQ(unit.Quantize(0.49999999999999994), 0);
+  EXPECT_EQ(unit.Quantize(-0.49999999999999994), 0);
+  EXPECT_EQ(unit.Quantize(std::nextafter(0.5, 1.0)), 1);
+  EXPECT_EQ(unit.Quantize(std::nextafter(-0.5, -1.0)), -1);
+}
+
+TEST(LlrQuantizer, SymmetricMaxBoundaries) {
+  const LlrQuantizer q(6, 2.0);
+  for (const double scaled : {30.0, 30.49, 30.5, 31.0, 31.49, 31.5, 32.0}) {
+    EXPECT_EQ(q.Quantize(scaled / 2.0), LroundOracle(q, scaled / 2.0))
+        << scaled;
+    EXPECT_EQ(q.Quantize(-scaled / 2.0), LroundOracle(q, -scaled / 2.0))
+        << scaled;
+  }
+  EXPECT_EQ(q.Quantize(30.5 / 2.0), 31);
+  EXPECT_EQ(q.Quantize(-31.5 / 2.0), -31);
+}
+
+// Huge LLRs saturate: the product is clamped before it is converted,
+// so it can never wrap through the int32 range (lround then a cast
+// turned 1073741829 * 2 into -31).
+TEST(LlrQuantizer, HugeValuesSaturateInsteadOfWrapping) {
+  const LlrQuantizer q(6, 2.0);
+  EXPECT_EQ(q.Quantize(1073741829.0), 31);
+  EXPECT_EQ(q.Quantize(-1073741829.0), -31);
+  EXPECT_EQ(q.Quantize(1e10), 31);
+  EXPECT_EQ(q.Quantize(-1e10), -31);
+  EXPECT_EQ(q.Quantize(std::numeric_limits<double>::max()), 31);
+  EXPECT_EQ(q.Quantize(-std::numeric_limits<double>::max()), -31);
+}
+
+TEST(LlrQuantizer, InfinitiesSaturateAndNanIsZero) {
+  const LlrQuantizer q(6, 2.0);
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(q.Quantize(inf), 31);
+  EXPECT_EQ(q.Quantize(-inf), -31);
+  EXPECT_EQ(q.Quantize(std::numeric_limits<double>::quiet_NaN()), 0);
+  EXPECT_EQ(q.Quantize(-std::numeric_limits<double>::quiet_NaN()), 0);
+}
+
+TEST(LlrQuantizer, MatchesLroundOracleOnFiniteInputs) {
+  for (const int width : {2, 6, 8, 16}) {
+    const LlrQuantizer q(width, 1.7);
+    for (double x = -40000.0; x <= 40000.0; x += 0.731)
+      ASSERT_EQ(q.Quantize(x), LroundOracle(q, x)) << width << " " << x;
+    for (int k = -1000; k <= 1000; ++k) {
+      const double tie = (k + 0.5) / 1.7;  // ties up to the product's rounding
+      ASSERT_EQ(q.Quantize(tie), LroundOracle(q, tie)) << width << " " << k;
+    }
+  }
 }
 
 // Parameterized property sweep: quantizer output is always within the

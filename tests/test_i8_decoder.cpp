@@ -16,12 +16,17 @@
 //     hook + name grammar behave.
 //  5. Saturation counters: with a sink installed the i8 decoder
 //     reports clamp events without changing any decode result.
+//  6. Quantize-in: on every tier the fixed lane paths load exactly
+//     the scalar fixed decoder's channel words, including ties,
+//     saturation boundaries, huge values, infinities and NaN.
 #include "ldpc/batched_layered_decoder.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <string>
 #include <vector>
@@ -422,6 +427,71 @@ TEST(I8Decoder, SaturationCountersQuietWhenWide) {
   for (const auto& c : merged.counters) {
     if (c.name == "decode.i8_bn_saturations") {
       EXPECT_EQ(c.value, 0u);
+    }
+  }
+}
+
+// ---- 6. Quantize-in edges. ----------------------------------------
+
+// Frames whose LLRs sit on the quantizer's edges (scale 2, so every
+// scaled value below is exact): each half step from 0 to past the
+// 6- and 8-bit saturation bounds (ties included), the largest double
+// below a tie, just above and below ±SymmetricMax, values far past the
+// int32 range, infinities and NaN — with random signs.
+std::vector<double> EdgeLlrFrames(const LdpcCode& code, std::size_t frames) {
+  constexpr double kScale = 2.0;
+  std::vector<double> scaled;
+  for (int k = 0; k <= 300; ++k) scaled.push_back(k * 0.5);
+  for (const double v : {31.0, 127.0}) {
+    scaled.push_back(std::nextafter(v + 0.5, 0.0));
+    scaled.push_back(std::nextafter(v - 0.5, 0.0));
+  }
+  scaled.push_back(0.49999999999999994);
+  scaled.push_back(std::nextafter(0.5, 1.0));
+  scaled.push_back(1e10);
+  scaled.push_back(2147483658.0);  // wraps when lround'ed into int32
+  scaled.push_back(std::numeric_limits<double>::infinity());
+  scaled.push_back(std::numeric_limits<double>::quiet_NaN());
+  Xoshiro256pp rng(2024);
+  std::vector<double> llrs(frames * code.n());
+  for (auto& llr : llrs) {
+    const double v = scaled[rng.NextBounded(scaled.size())] / kScale;
+    llr = rng.NextBit() ? -v : v;
+  }
+  return llrs;
+}
+
+TEST(QuantizeIn, EdgeLlrsMatchScalarFixedDecoderOnEveryTier) {
+  const auto& code = SmallCode();
+  const auto original = core::DetectIsa();
+  // 37 frames: full 32-lane groups plus ragged 4- and 1-lane tails.
+  const std::size_t frames = 37;
+  const auto llrs = EdgeLlrFrames(code, frames);
+  // The second datapath's channel word (wc=8, max 127) is wider than
+  // its APP word (wapp=5, max 15): the lane path folds both clamps.
+  for (const std::string params :
+       {"iters=2,scale=2", "iters=2,scale=2,wc=8,wm=4,wapp=5"}) {
+    auto scalar = MakeDecoder(code, "fixed-layered-nms:" + params);
+    std::vector<DecodeResult> want;
+    for (std::size_t f = 0; f < frames; ++f)
+      want.push_back(scalar->Decode(
+          std::span<const double>(llrs).subspan(f * code.n(), code.n())));
+    for (const std::string& spec :
+         {"fixed-layered-nms-i8:batch=32," + params,
+          "fixed-layered-nms:batch=16," + params}) {
+      auto batched = MakeDecoder(code, spec);
+      for (const auto isa :
+           {core::Isa::kScalar, core::Isa::kAvx2, core::Isa::kAvx512}) {
+        if (!core::IsaAvailable(isa)) continue;
+        core::ForceIsaForTesting(isa);
+        const auto got = batched->DecodeBatch(llrs, frames);
+        ASSERT_EQ(got.size(), frames);
+        for (std::size_t f = 0; f < frames; ++f)
+          ExpectSameResult(got[f], want[f],
+                           spec + " isa " + core::IsaName(isa) + " frame " +
+                               std::to_string(f));
+      }
+      core::ForceIsaForTesting(original);
     }
   }
 }
