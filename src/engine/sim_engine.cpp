@@ -11,6 +11,7 @@
 
 #include "channel/awgn.hpp"
 #include "engine/thread_pool.hpp"
+#include "ldpc/core/dispatch.hpp"
 #include "obs/decode_sink.hpp"
 #include "obs/metrics.hpp"
 #include "util/contracts.hpp"
@@ -79,10 +80,18 @@ SimEngine::SimEngine(const ldpc::LdpcCode& code, const ldpc::Encoder& encoder,
   CLDPC_EXPECTS(config_.max_frames > 0, "need at least one frame");
   CLDPC_EXPECTS(config_.batch_frames > 0, "need at least one frame per batch");
   if (config_.info_bits_only) {
-    counted_ = code_.InfoCols();
+    // InfoCols is ascending; merge it into maximal runs.
+    for (const std::size_t pos : code_.InfoCols()) {
+      if (!counted_runs_.empty() && counted_runs_.back().second == pos) {
+        ++counted_runs_.back().second;
+      } else {
+        counted_runs_.emplace_back(pos, pos + 1);
+      }
+    }
+    counted_bits_ = code_.InfoCols().size();
   } else {
-    counted_.resize(code_.n());
-    for (std::size_t i = 0; i < counted_.size(); ++i) counted_[i] = i;
+    counted_runs_.emplace_back(0, code_.n());
+    counted_bits_ = code_.n();
   }
   if (config_.metrics != nullptr)
     hook_ = std::make_unique<MetricsHook>(*config_.metrics);
@@ -170,48 +179,53 @@ std::vector<SimEngine::FrameResult> SimEngine::SimulateBatch(
   // DecodeBatch call: batched decoders run the frames in SIMD lanes,
   // scalar decoders fall back to a frame loop — either way the
   // per-frame results are identical (the batching contract in
-  // ldpc/decoder.hpp). All staging goes through the worker's
-  // FrameScratch and the allocation-free *Into frontend, so the
-  // channel chain touches the heap only while the buffers first grow.
+  // ldpc/decoder.hpp). The frontend runs in three passes over the
+  // batch — info bits, encode, channel — and the two random passes
+  // draw several frames per SIMD register (the dispatched frame-lane
+  // kernels, ldpc/core/frame_lanes.inc), each frame from its own
+  // streams, so every frame is the one the per-frame loop would
+  // produce. All staging goes through the worker's FrameScratch, so
+  // the frontend touches the heap only while the buffers first grow.
+  scratch.data_seeds.resize(count);
+  scratch.noise_seeds.resize(count);
+  scratch.info.resize(count * n_info);
   scratch.codewords.resize(count * n);
-  scratch.llrs.resize(count * n);
   scratch.symbols.resize(n);
-  scratch.info.resize(n_info);
+  scratch.llrs.resize(count * n);
   // Seed derivation uses ABSOLUTE indices: run-local (snr_index,
   // frame) offset by the config's (snr_index_base, start_frame). For
   // ordinary sweeps the offsets are zero; a sharded or resumed run
   // sets them so its frames draw exactly the seeds the whole-sweep
-  // run would.
+  // run would. Independent, reproducible streams for data and noise:
+  // every frame is a pure function of (base_seed, snr_index,
+  // frame_index).
   const std::uint64_t abs_snr = config_.snr_index_base + snr_index;
   for (std::uint64_t i = 0; i < count; ++i) {
     const std::uint64_t f = config_.start_frame + first_frame + i;
-    // Independent, reproducible streams for data and noise: every
-    // frame is a pure function of (base_seed, snr_index, frame_index).
-    const std::uint64_t data_seed =
-        DeriveSeed(config_.base_seed, abs_snr, f, 1);
-    const std::uint64_t noise_seed =
-        DeriveSeed(config_.base_seed, abs_snr, f, 2);
-
-    const std::span<std::uint8_t> codeword(scratch.codewords.data() + i * n,
-                                           n);
-    if (config_.all_zero_codeword) {
-      std::fill(codeword.begin(), codeword.end(), 0);
-    } else if (config_.frame_source) {
-      // Protocol-aware generation (e.g. payload + CRC): a pure
-      // function of the derived seed, so the determinism contract is
-      // untouched.
-      config_.frame_source(data_seed, codeword);
-    } else {
-      Xoshiro256pp data_rng(data_seed);
-      for (auto& b : scratch.info) b = data_rng.NextBit() ? 1 : 0;
-      encoder_.EncodeInto(scratch.info, codeword, scratch.parity);
-    }
-
-    channel::AwgnChannel ch(sigma, noise_seed);
-    channel::BpskModulateInto(codeword, scratch.symbols);
-    ch.TransmitLlrsInto(scratch.symbols,
-                        {scratch.llrs.data() + i * n, n});
+    scratch.data_seeds[i] = DeriveSeed(config_.base_seed, abs_snr, f, 1);
+    scratch.noise_seeds[i] = DeriveSeed(config_.base_seed, abs_snr, f, 2);
   }
+
+  const auto& kernels = ldpc::core::ActiveLaneKernels();
+  if (config_.all_zero_codeword) {
+    std::fill(scratch.codewords.begin(), scratch.codewords.end(), 0);
+  } else if (config_.frame_source) {
+    // Protocol-aware generation (e.g. payload + CRC): a pure function
+    // of the derived seed, so the determinism contract is untouched.
+    for (std::uint64_t i = 0; i < count; ++i)
+      config_.frame_source(scratch.data_seeds[i],
+                           {scratch.codewords.data() + i * n, n});
+  } else {
+    kernels.draw_info_bits({scratch.data_seeds.data(), count, n_info,
+                            scratch.info.data()});
+    for (std::uint64_t i = 0; i < count; ++i)
+      encoder_.EncodeInto({scratch.info.data() + i * n_info, n_info},
+                          {scratch.codewords.data() + i * n, n},
+                          scratch.parity);
+  }
+  kernels.transmit_llrs({scratch.noise_seeds.data(), count, n,
+                         scratch.codewords.data(), sigma,
+                         scratch.llrs.data(), scratch.symbols.data()});
 
   const auto decoded = decoder.DecodeBatch(scratch.llrs, count);
 
@@ -221,9 +235,14 @@ std::vector<SimEngine::FrameResult> SimEngine::SimulateBatch(
     FrameResult result;
     result.iterations = decoded[i].iterations_run;
     result.converged = decoded[i].converged;
-    for (const auto pos : counted_) {
-      if (decoded[i].bits[pos] != scratch.codewords[i * n + pos])
-        ++result.bit_errors;
+    // Contiguous byte ranges, so the compare vectorizes.
+    const std::uint8_t* bits = decoded[i].bits.data();
+    const std::uint8_t* sent = scratch.codewords.data() + i * n;
+    for (const auto& [begin, end] : counted_runs_) {
+      std::uint64_t errors = 0;
+      for (std::size_t pos = begin; pos < end; ++pos)
+        errors += bits[pos] != sent[pos];
+      result.bit_errors += errors;
     }
     if (config_.frame_check) result.accepted = config_.frame_check(decoded[i].bits);
     results.push_back(result);
@@ -290,7 +309,7 @@ sim::BerCurve SimEngine::RunSequential(ldpc::Decoder& decoder,
       const auto results = SimulateBatch(decoder, s, first, count, sigma,
                                          scratch, wshard);
       for (const auto& r : results) {
-        if (acc.Consume(r, s, counted_.size(), config_.min_frame_errors,
+        if (acc.Consume(r, s, counted_bits_, config_.min_frame_errors,
                         curve.has_frame_check, on_frame)) {
           stopped = true;
           break;
@@ -451,7 +470,7 @@ sim::BerCurve SimEngine::RunParallel(const DecoderFactory& factory,
         }
         shared.producer_cv.notify_all();
         for (const auto& r : results) {
-          if (acc.Consume(r, s, counted_.size(), config_.min_frame_errors,
+          if (acc.Consume(r, s, counted_bits_, config_.min_frame_errors,
                           curve.has_frame_check, on_frame)) {
             stopped = true;
             {

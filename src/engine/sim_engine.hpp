@@ -64,6 +64,8 @@
 
 #include <cstdint>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "engine/decoder_pool.hpp"
 #include "gf2/bitvec.hpp"
@@ -117,16 +119,18 @@ class SimEngine {
 
   /// Reusable per-worker staging buffers for SimulateBatch's channel
   /// frontend: the buffers grow to the batch size on the first batch
-  /// and are reused for every batch after, so encode / modulate /
-  /// transmit / LLR staging performs zero heap allocations in steady
-  /// state (the decoder's own result vectors are the only remaining
+  /// and are reused for every batch after, so seeding, info bits,
+  /// encode and channel staging perform zero heap allocations in
+  /// steady state (the decoder's own result vectors are the only remaining
   /// per-batch allocations).
   struct FrameScratch {
-    std::vector<std::uint8_t> info;       // k, one frame at a time
-    std::vector<std::uint8_t> codewords;  // count * n, frame-major
-    std::vector<double> symbols;          // n, one frame at a time
-    std::vector<double> llrs;             // count * n, frame-major
-    gf2::BitVec parity;                   // encoder scratch
+    std::vector<std::uint64_t> data_seeds;   // count
+    std::vector<std::uint64_t> noise_seeds;  // count
+    std::vector<std::uint8_t> info;          // count * k, frame-major
+    std::vector<std::uint8_t> codewords;     // count * n, frame-major
+    std::vector<double> symbols;  // n, the scalar tier's BPSK staging
+    std::vector<double> llrs;                // count * n, frame-major
+    gf2::BitVec parity;                      // encoder scratch
   };
 
   /// Decode frames [first, first+count) of point `snr_index`,
@@ -158,8 +162,11 @@ class SimEngine {
   const ldpc::LdpcCode& code_;
   const ldpc::Encoder& encoder_;
   sim::BerConfig config_;
-  /// Codeword positions counted towards BER (info bits or all).
-  std::vector<std::size_t> counted_;
+  /// Codeword positions counted towards BER (info bits or all), as
+  /// maximal runs [begin, end) of consecutive positions, and their
+  /// total.
+  std::vector<std::pair<std::size_t, std::size_t>> counted_runs_;
+  std::uint64_t counted_bits_ = 0;
   std::unique_ptr<MetricsHook> hook_;  // null = metrics disabled
 };
 

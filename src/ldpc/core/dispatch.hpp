@@ -1,4 +1,5 @@
-// Runtime ISA dispatch for the lane-batched decode kernels.
+// Runtime ISA dispatch for the lane-batched decode kernels and the
+// simulation engine's frame-lane frontend (core/frame_lanes.inc).
 //
 // The batched decoders' hot loops (CnUpdateBatch scan, compressed
 // Peel/Store/FoldFresh, the lane-group engine) are compiled several
@@ -121,13 +122,40 @@ struct LaneArgsI8 {
   std::uint64_t* bn_saturations = nullptr;
 };
 
-/// One ISA's set of lane-decode entry points.
+/// A batch's information bits (draw_info_bits): frame f's k bytes
+/// (0/1) are the first k Xoshiro256pp(seeds[f]).NextBit() draws.
+struct InfoBitsArgs {
+  const std::uint64_t* seeds = nullptr;  // num_frames data-stream seeds
+  std::size_t num_frames = 0;
+  std::size_t k = 0;
+  std::uint8_t* info = nullptr;  // out: num_frames * k, frame-major
+};
+
+/// A batch's channel frontend (transmit_llrs): frame f's n LLRs are
+/// those AwgnChannel(sigma, seeds[f]).TransmitLlrsInto writes for the
+/// BPSK symbols of codeword f.
+struct ChannelArgs {
+  const std::uint64_t* seeds = nullptr;  // num_frames noise-stream seeds
+  std::size_t num_frames = 0;
+  std::size_t n = 0;
+  const std::uint8_t* codewords = nullptr;  // num_frames * n, frame-major
+  double sigma = 1.0;
+  double* llrs = nullptr;     // out: num_frames * n, frame-major
+  double* symbols = nullptr;  // n doubles of scratch (per-frame tier)
+};
+
+/// One ISA's set of lane-decode entry points, plus the frame-lane
+/// frontend (core/frame_lanes.inc): the scalar tier's entries are the
+/// per-frame loop over the scalar API, the AVX tiers draw 4 or 8
+/// frames per register, bit-identically.
 struct LaneKernelTable {
   const char* name = "";
   void (*decode_double)(const LaneArgsDouble&) = nullptr;
   void (*decode_f32)(const LaneArgsF32&) = nullptr;
   void (*decode_fixed)(const LaneArgsFixed&) = nullptr;
   void (*decode_i8)(const LaneArgsI8&) = nullptr;
+  void (*draw_info_bits)(const InfoBitsArgs&) = nullptr;
+  void (*transmit_llrs)(const ChannelArgs&) = nullptr;
 };
 
 /// The per-TU tables. A TU whose flags the compiler did not support

@@ -1,6 +1,5 @@
 #include "util/cli.hpp"
 
-#include <cstdlib>
 #include <sstream>
 
 #include "util/contracts.hpp"
@@ -43,32 +42,35 @@ std::string ArgParser::GetString(const std::string& name,
   return Find(name).value_or(fallback);
 }
 
+// The numeric and boolean getters share the spec grammar's strict
+// parsers (util/keyval.hpp): the whole value must parse, or they throw
+// ContractViolation (a std::invalid_argument) naming the flag.
+
 std::int64_t ArgParser::GetInt(const std::string& name,
                                std::int64_t fallback) const {
   const auto v = Find(name);
   if (!v) return fallback;
-  return std::strtoll(v->c_str(), nullptr, 10);
+  return keyval::GetInt({{name, *v}}, name, fallback, "flag --" + name);
 }
 
 std::uint64_t ArgParser::GetUint(const std::string& name,
                                  std::uint64_t fallback) const {
   const auto v = Find(name);
   if (!v) return fallback;
-  // One validation path with the spec grammar's u64 values (seeds):
-  // digits only, full range, loud rejection instead of wrap/clamp.
+  // Digits only, full range: loud rejection instead of wrap/clamp.
   return keyval::GetUint({{name, *v}}, name, fallback, "flag --" + name);
 }
 
 double ArgParser::GetDouble(const std::string& name, double fallback) const {
   const auto v = Find(name);
   if (!v) return fallback;
-  return std::strtod(v->c_str(), nullptr);
+  return keyval::GetDouble({{name, *v}}, name, fallback, "flag --" + name);
 }
 
 bool ArgParser::GetBool(const std::string& name, bool fallback) const {
   const auto v = Find(name);
   if (!v) return fallback;
-  return *v == "true" || *v == "1" || *v == "yes" || *v == "on";
+  return keyval::GetBool({{name, *v}}, name, fallback, "flag --" + name);
 }
 
 std::vector<std::string> ArgParser::GetStringList(
@@ -93,7 +95,9 @@ std::vector<double> ArgParser::GetDoubleList(
   std::stringstream ss(*v);
   std::string item;
   while (std::getline(ss, item, ',')) {
-    if (!item.empty()) out.push_back(std::strtod(item.c_str(), nullptr));
+    if (!item.empty())
+      out.push_back(
+          keyval::GetDouble({{name, item}}, name, 0.0, "flag --" + name));
   }
   return out;
 }

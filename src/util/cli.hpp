@@ -1,7 +1,11 @@
 // Minimal command-line parser for examples and bench binaries.
 //
 // Supports --name=value, --name value and boolean --flag forms.
-// Unknown flags are collected so binaries can reject typos.
+// Values are checked when read: GetInt/GetUint/GetDouble/GetBool and
+// GetDoubleList throw ContractViolation (a std::invalid_argument)
+// naming the flag unless the whole value parses, so `--frames=12x` or
+// `--snrs=abc` fails loudly instead of running 12 frames or 0 dB.
+// Flags nobody reads are not checked: a typo'd flag name is ignored.
 #pragma once
 
 #include <cstdint>
@@ -21,13 +25,15 @@ class ArgParser {
   std::string GetString(const std::string& name,
                         const std::string& fallback) const;
   std::int64_t GetInt(const std::string& name, std::int64_t fallback) const;
-  /// Full-range u64 (seeds): throws ContractViolation on negative,
-  /// signed or non-numeric input instead of wrapping or clamping.
+  /// Full-range u64 (seeds): negative or signed input throws too,
+  /// instead of wrapping or clamping.
   std::uint64_t GetUint(const std::string& name, std::uint64_t fallback) const;
   double GetDouble(const std::string& name, double fallback) const;
+  /// true/1/yes/on or false/0/no/off; a bare --flag reads as true.
   bool GetBool(const std::string& name, bool fallback = false) const;
 
-  /// Comma-separated list of doubles, e.g. --snrs=3.2,3.6,4.0.
+  /// Comma-separated list of doubles, e.g. --snrs=3.2,3.6,4.0 (empty
+  /// items are skipped; any other item must be a whole number).
   std::vector<double> GetDoubleList(const std::string& name,
                                     std::vector<double> fallback) const;
 

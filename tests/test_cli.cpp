@@ -1,5 +1,8 @@
 #include "util/cli.hpp"
 
+#include <stdexcept>
+#include <string>
+
 #include <gtest/gtest.h>
 
 namespace cldpc {
@@ -53,6 +56,65 @@ TEST(ArgParser, UintIsFullRangeAndRejectsSigns) {
   EXPECT_ANY_THROW(Parse({"prog", "--seed=+1"}).GetUint("seed", 0));
   EXPECT_ANY_THROW(
       Parse({"prog", "--seed=18446744073709551616"}).GetUint("seed", 0));
+}
+
+/// The message of the std::invalid_argument `read` throws ("" if it
+/// returns normally or throws anything else).
+template <class Read>
+std::string InvalidArgumentMessage(Read read) {
+  try {
+    read();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  } catch (...) {
+  }
+  return "";
+}
+
+TEST(ArgParser, IntRequiresWholeValue) {
+  // A partial parse is an error: "12x" is not 12, "abc" is not 0.
+  for (const char* bad : {"--frames=12x", "--frames=abc", "--frames=",
+                          "--frames=1.5", "--frames=99999999999999999999"}) {
+    const auto msg = InvalidArgumentMessage(
+        [&] { Parse({"prog", bad}).GetInt("frames", 7); });
+    EXPECT_NE(msg.find("--frames"), std::string::npos) << bad << ": " << msg;
+  }
+  EXPECT_EQ(Parse({"prog", "--frames=-12"}).GetInt("frames", 7), -12);
+}
+
+TEST(ArgParser, DoubleRequiresWholeValue) {
+  for (const char* bad :
+       {"--ebn0=4.0dB", "--ebn0=abc", "--ebn0=", "--ebn0=1e999"}) {
+    const auto msg = InvalidArgumentMessage(
+        [&] { Parse({"prog", bad}).GetDouble("ebn0", 1.0); });
+    EXPECT_NE(msg.find("--ebn0"), std::string::npos) << bad << ": " << msg;
+  }
+  EXPECT_DOUBLE_EQ(Parse({"prog", "--ebn0=-1.5e-1"}).GetDouble("ebn0", 0.0),
+                   -0.15);
+}
+
+TEST(ArgParser, DoubleListRequiresWholeItems) {
+  // --snrs=abc must not sweep 0 dB.
+  for (const char* bad : {"--snrs=abc", "--snrs=3.0,x", "--snrs=3.0;4.0"}) {
+    const auto msg = InvalidArgumentMessage(
+        [&] { Parse({"prog", bad}).GetDoubleList("snrs", {}); });
+    EXPECT_NE(msg.find("--snrs"), std::string::npos) << bad << ": " << msg;
+  }
+  // Empty items are still skipped.
+  EXPECT_EQ(Parse({"prog", "--snrs=3.0,,4.0,"}).GetDoubleList("snrs", {}),
+            (std::vector<double>{3.0, 4.0}));
+}
+
+TEST(ArgParser, BoolRejectsUnknownSpellings) {
+  // An unknown spelling is an error, not false.
+  for (const char* bad : {"--live=maybe", "--live=TRUE", "--live=2"}) {
+    const auto msg = InvalidArgumentMessage(
+        [&] { Parse({"prog", bad}).GetBool("live", true); });
+    EXPECT_NE(msg.find("--live"), std::string::npos) << bad << ": " << msg;
+  }
+  for (const char* off :
+       {"--live=false", "--live=0", "--live=no", "--live=off"})
+    EXPECT_FALSE(Parse({"prog", off}).GetBool("live", true)) << off;
 }
 
 TEST(ArgParser, DoubleList) {
