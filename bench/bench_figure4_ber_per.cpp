@@ -35,8 +35,7 @@
 #include "codes/catalog.hpp"
 #include "engine/sim_engine.hpp"
 #include "ldpc/core/registry.hpp"
-#include "obs/export.hpp"
-#include "obs/metrics.hpp"
+#include "obs/session.hpp"
 #include "sim/ber_runner.hpp"
 #include "util/cli.hpp"
 
@@ -66,16 +65,8 @@ int main(int argc, char** argv) {
   config.frame_source = system.frame_source;
   config.frame_check = system.frame_check;
 
-  obs::ExportOptions export_opts;
-  export_opts.metrics_json = args.GetString("metrics-json", "");
-  export_opts.trace_json = args.GetString("trace-json", "");
-  export_opts.print_table = args.GetBool("metrics");
-  const bool want_metrics = export_opts.print_table ||
-                            !export_opts.metrics_json.empty() ||
-                            !export_opts.trace_json.empty();
-  obs::MetricsRegistry registry;
-  if (!export_opts.trace_json.empty()) registry.EnableTracing();
-  if (want_metrics) config.metrics = &registry;
+  obs::Session obs_session(args, {.trace = true});
+  config.metrics = obs_session.metrics();
 
   sim::BerRunner runner(*system.code, *system.encoder, config);
   std::printf("Engine threads: %zu\n",
@@ -113,16 +104,16 @@ int main(int argc, char** argv) {
 
   std::printf("\n%s", sim::RenderCurves(curves).c_str());
 
-  if (want_metrics) {
+  if (obs::MetricsRegistry* metrics = obs_session.metrics()) {
     std::uint64_t frames = 0;
     for (const auto& curve : curves)
       for (const auto& point : curve.points) frames += point.frames;
-    registry.SetGauge("engine.elapsed_seconds", elapsed);
-    registry.SetGauge("engine.frames_per_second",
+    metrics->SetGauge("engine.elapsed_seconds", elapsed);
+    metrics->SetGauge("engine.frames_per_second",
                       elapsed > 0.0 ? static_cast<double>(frames) / elapsed
                                     : 0.0);
-    obs::ExportMetrics(registry, export_opts);
   }
+  obs_session.Export();
 
   std::printf("\nSimulated %.1f s at %zu thread(s); per-point frame counts "
               "are in the table (early stop at %llu frame errors, cap "

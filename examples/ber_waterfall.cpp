@@ -57,8 +57,7 @@
 #include "dist/sweep.hpp"
 #include "engine/sim_engine.hpp"
 #include "ldpc/core/registry.hpp"
-#include "obs/export.hpp"
-#include "obs/metrics.hpp"
+#include "obs/session.hpp"
 #include "sim/ber_runner.hpp"
 #include "util/cli.hpp"
 #include "util/shutdown.hpp"
@@ -110,16 +109,8 @@ int RunMain(int argc, char** argv) {
   util::InstallShutdownHandler();
   config.cancel = &util::ShutdownRequested();
 
-  obs::ExportOptions export_opts;
-  export_opts.metrics_json = args.GetString("metrics-json", "");
-  export_opts.trace_json = args.GetString("trace-json", "");
-  export_opts.print_table = args.GetBool("metrics");
-  const bool want_metrics = export_opts.print_table ||
-                            !export_opts.metrics_json.empty() ||
-                            !export_opts.trace_json.empty();
-  obs::MetricsRegistry registry;
-  if (!export_opts.trace_json.empty()) registry.EnableTracing();
-  if (want_metrics) config.metrics = &registry;
+  obs::Session obs_session(args, {.trace = true});
+  config.metrics = obs_session.metrics();
 
   sim::BerRunner runner(code, *system.encoder, config);
   std::printf("Engine threads: %zu\n",
@@ -218,16 +209,16 @@ int RunMain(int argc, char** argv) {
     }
   }
   std::printf("\n%s", sim::RenderCurves(curves).c_str());
-  if (want_metrics) {
+  if (obs::MetricsRegistry* metrics = obs_session.metrics()) {
     std::uint64_t frames = 0;
     for (const auto& curve : curves)
       for (const auto& point : curve.points) frames += point.frames;
-    registry.SetGauge("engine.elapsed_seconds", elapsed);
-    registry.SetGauge("engine.frames_per_second",
+    metrics->SetGauge("engine.elapsed_seconds", elapsed);
+    metrics->SetGauge("engine.frames_per_second",
                       elapsed > 0.0 ? static_cast<double>(frames) / elapsed
                                     : 0.0);
-    obs::ExportMetrics(registry, export_opts);
   }
+  obs_session.Export();
   if (system.frame_check) {
     std::printf("\nUER counts frames the code's CRC accepted despite bit "
                 "errors — the undetected-error rate a deployed receiver "

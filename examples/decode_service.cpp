@@ -45,10 +45,7 @@
 #include "channel/awgn.hpp"
 #include "codes/catalog.hpp"
 #include "ldpc/core/registry.hpp"
-#include "obs/export.hpp"
-#include "obs/journal.hpp"
-#include "obs/metrics.hpp"
-#include "obs/snapshot.hpp"
+#include "obs/session.hpp"
 #include "serve/service.hpp"
 #include "util/cli.hpp"
 #include "util/rng.hpp"
@@ -78,69 +75,23 @@ int RunMain(int argc, char** argv) {
   config.faults.decode_throw_permille =
       static_cast<std::uint32_t>(args.GetInt("throw-permille", 0));
 
-  obs::ExportOptions export_opts;
-  export_opts.metrics_json = args.GetString("metrics-json", "");
-  export_opts.trace_json = args.GetString("trace-json", "");
-  export_opts.print_table = args.GetBool("metrics");
-  const std::int64_t snapshot_interval_ms =
-      args.GetInt("metrics-interval-ms", 0);
-  obs::SnapshotOptions snapshot_opts;
-  snapshot_opts.latest_json_path = args.GetString("metrics-latest", "");
-  snapshot_opts.history_jsonl_path = args.GetString("snapshots-jsonl", "");
-  // A ^C that outruns the graceful drain still leaves a valid
-  // cldpc-metrics-v1 doc here (overwritten by the exact export on a
-  // normal exit).
-  snapshot_opts.emergency_metrics_json = export_opts.metrics_json;
-  const bool live_table = args.GetBool("live");
-  const bool want_snapshots =
-      snapshot_interval_ms > 0 &&
-      (live_table || !snapshot_opts.latest_json_path.empty() ||
-       !snapshot_opts.history_jsonl_path.empty() ||
-       !export_opts.metrics_json.empty());
-  const bool want_metrics = export_opts.print_table ||
-                            !export_opts.metrics_json.empty() ||
-                            !export_opts.trace_json.empty() || want_snapshots;
-  obs::MetricsRegistry registry;
-  if (want_metrics) config.metrics = &registry;
+  obs::Session obs_session(
+      args, {.trace = true, .live = true, .live_table = true});
+  config.metrics = obs_session.metrics();
+  config.journal = obs_session.journal();
   config.trace_sample_every = args.GetUint("trace-sample", 0);
-  if (!export_opts.trace_json.empty()) registry.EnableTracing();
 
   // The catalog's integrity check (CRC codes): every ok decode is
   // checked before delivery and the verdict counted.
   config.frame_check = system.frame_check;
 
-  std::unique_ptr<obs::EventJournal> journal;
-  const std::string events_path = args.GetString("events-jsonl", "");
-  if (!events_path.empty()) {
-    journal = std::make_unique<obs::EventJournal>(
-        obs::EventJournalOptions{events_path});
-    config.journal = journal.get();
-  }
-
   util::InstallShutdownHandler();
 
   serve::DecodeService service(code, config);
 
-  // Snapshot publisher: started after the service registered all its
-  // counters (registration resizes shard vectors and must not race a
-  // concurrent Snapshot()).
-  std::unique_ptr<obs::SnapshotPublisher> publisher;
-  if (want_snapshots) {
-    snapshot_opts.interval = std::chrono::milliseconds(snapshot_interval_ms);
-    snapshot_opts.pre_snapshot = [&service] { service.SyncMetricsCounters(); };
-    if (live_table) {
-      snapshot_opts.on_snapshot =
-          [snapshot_interval_ms](const obs::MetricsSnapshot& snap) {
-            std::printf("%s", obs::RenderSnapshotTable(
-                                  snap, static_cast<std::uint64_t>(
-                                            snapshot_interval_ms))
-                                  .c_str());
-          };
-    }
-    publisher =
-        std::make_unique<obs::SnapshotPublisher>(registry, snapshot_opts);
-    publisher->Start();
-  }
+  // Started after the service registered all its metrics.
+  const auto publisher = obs_session.StartPublisher(
+      [&service] { service.SyncMetricsCounters(); });
   serve::DecodeClient& client = service.Connect();
   std::printf("Service: code %s (%zu, %zu), decoder %s, %zu worker(s), "
               "queue %zu\n",
@@ -241,15 +192,9 @@ int RunMain(int argc, char** argv) {
                 static_cast<unsigned long long>(stats.check_rejected),
                 static_cast<unsigned long long>(stats.ok));
   }
-  // Final snapshot (exact: the service flushed in Stop()) before the
-  // full export, then the journal's service_stop line is on disk.
-  if (publisher) publisher->Stop();
-  if (journal) {
-    journal->Close();
-    std::printf("Event journal: %llu events -> %s\n",
-                static_cast<unsigned long long>(journal->entries()),
-                journal->path().c_str());
-  }
+  // Final snapshot (exact: the service flushed in Stop()), then the
+  // journal's service_stop line is on disk.
+  obs_session.Stop();
   if (mismatches != 0) {
     std::fprintf(stderr, "FAIL: service responses diverged from the direct "
                          "batch decode\n");
@@ -257,7 +202,7 @@ int RunMain(int argc, char** argv) {
   }
   std::printf("Every ok response matched the direct batch decode "
               "byte-for-byte.\n");
-  if (want_metrics) obs::ExportMetrics(registry, export_opts);
+  obs_session.Export();
   return 0;
 }
 

@@ -55,7 +55,6 @@
 #include <cstdio>
 #include <exception>
 #include <fstream>
-#include <memory>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -63,10 +62,7 @@
 
 #include "channel/awgn.hpp"
 #include "codes/catalog.hpp"
-#include "obs/export.hpp"
-#include "obs/journal.hpp"
-#include "obs/metrics.hpp"
-#include "obs/snapshot.hpp"
+#include "obs/session.hpp"
 #include "serve/service.hpp"
 #include "util/cli.hpp"
 #include "util/json.hpp"
@@ -255,44 +251,19 @@ int RunMain(int argc, char** argv) {
   config.faults.slow_consumer_us =
       static_cast<std::uint32_t>(args.GetInt("slow-consumer-us", 1000));
 
-  obs::ExportOptions export_opts;
-  export_opts.metrics_json = args.GetString("metrics-json", "");
-  export_opts.trace_json = args.GetString("trace-json", "");
-  export_opts.print_table = args.GetBool("metrics");
-  const std::int64_t snapshot_interval_ms =
-      args.GetInt("metrics-interval-ms", 0);
-  obs::SnapshotOptions snapshot_opts;
-  snapshot_opts.latest_json_path = args.GetString("metrics-latest", "");
-  snapshot_opts.history_jsonl_path = args.GetString("snapshots-jsonl", "");
-  snapshot_opts.emergency_metrics_json = export_opts.metrics_json;
-  const bool live_table = args.GetBool("live");
-  const bool want_snapshots =
-      snapshot_interval_ms > 0 &&
-      (live_table || !snapshot_opts.latest_json_path.empty() ||
-       !snapshot_opts.history_jsonl_path.empty() ||
-       !export_opts.metrics_json.empty());
-  const bool want_metrics = export_opts.print_table ||
-                            !export_opts.metrics_json.empty() ||
-                            !export_opts.trace_json.empty() || want_snapshots;
-  obs::MetricsRegistry registry;
-  if (want_metrics) config.metrics = &registry;
+  obs::Session obs_session(
+      args, {.trace = true, .live = true, .live_table = true});
+  config.metrics = obs_session.metrics();
+  config.journal = obs_session.journal();
   config.trace_sample_every = args.GetUint("trace-sample", 0);
-  if (!export_opts.trace_json.empty()) registry.EnableTracing();
   // The generator holds the ground truth, so it owns the undetected
   // counter. Registered BEFORE the service (and thus before the
   // publisher): registration resizes shard vectors and must never
   // race a live Snapshot().
+  obs::MetricsRegistry& registry = obs_session.registry();
   const obs::CounterId undetected_id =
       registry.Counter("serve.undetected", obs::Determinism::kScheduling);
   config.frame_check = system.frame_check;
-
-  std::unique_ptr<obs::EventJournal> journal;
-  const std::string events_path = args.GetString("events-jsonl", "");
-  if (!events_path.empty()) {
-    journal = std::make_unique<obs::EventJournal>(
-        obs::EventJournalOptions{events_path});
-    config.journal = journal.get();
-  }
 
   util::InstallShutdownHandler();
 
@@ -311,25 +282,10 @@ int RunMain(int argc, char** argv) {
   // one seed reproduces the whole run.
   const serve::FaultInjector faults(config.faults);
 
-  // Snapshot publisher: started only after every counter (the
-  // service's and serve.undetected above) is registered.
-  std::unique_ptr<obs::SnapshotPublisher> publisher;
-  if (want_snapshots) {
-    snapshot_opts.interval = std::chrono::milliseconds(snapshot_interval_ms);
-    snapshot_opts.pre_snapshot = [&service] { service.SyncMetricsCounters(); };
-    if (live_table) {
-      snapshot_opts.on_snapshot =
-          [snapshot_interval_ms](const obs::MetricsSnapshot& snap) {
-            std::printf("%s", obs::RenderSnapshotTable(
-                                  snap, static_cast<std::uint64_t>(
-                                            snapshot_interval_ms))
-                                  .c_str());
-          };
-    }
-    publisher =
-        std::make_unique<obs::SnapshotPublisher>(registry, snapshot_opts);
-    publisher->Start();
-  }
+  // Started only after every counter (the service's and
+  // serve.undetected above) is registered.
+  const auto publisher = obs_session.StartPublisher(
+      [&service] { service.SyncMetricsCounters(); });
 
   // --rate pins the offered rate (frames/s, pre-multiplier) instead
   // of calibrating it — required when comparing runs (e.g. the
@@ -521,16 +477,14 @@ int RunMain(int argc, char** argv) {
                     " frames/s"});
   std::printf("\n%s", table.Render("Soak results").c_str());
 
-  if (want_metrics) {
-    const auto merged = registry.Merge();
-    for (const auto& h : merged.histograms) {
+  if (obs_session.metrics() != nullptr) {
+    for (const auto& h : registry.Merge().histograms) {
       if (h.name != "serve.admission_us" && h.name != "serve.decode_us")
         continue;
-      const auto s = h.hist.Summarize();
       std::printf("%s: p50 %lld us, p99 %lld us (n=%llu)\n", h.name.c_str(),
-                  static_cast<long long>(s.p50),
-                  static_cast<long long>(s.p99),
-                  static_cast<unsigned long long>(s.count));
+                  static_cast<long long>(h.p50),
+                  static_cast<long long>(h.p99),
+                  static_cast<unsigned long long>(h.count));
     }
     registry.SetGauge("serve.soak_elapsed_seconds", soak_elapsed);
     registry.SetGauge("serve.soak_sustained_ok_fps",
@@ -549,15 +503,13 @@ int RunMain(int argc, char** argv) {
                           : 0.0);
   }
   // Final exact snapshot (the service flushed in Stop(); deltas
-  // telescope to these totals), then the full export.
-  if (publisher) publisher->Stop();
-  if (want_metrics) obs::ExportMetrics(registry, export_opts);
+  // telescope to these totals), the journal closed, then the export.
+  obs_session.Export();
 
-  if (journal) {
-    journal->Close();
+  if (const auto* journal = obs_session.journal()) {
     bool replay_ok = false;
     try {
-      replay_ok = VerifyJournalReplay(events_path, faults,
+      replay_ok = VerifyJournalReplay(journal->path(), faults,
                                       stats.faults_injected);
     } catch (const std::exception& e) {
       std::fprintf(stderr, "JOURNAL FAIL: %s\n", e.what());

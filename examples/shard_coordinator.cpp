@@ -56,7 +56,6 @@
 #include <exception>
 #include <filesystem>
 #include <limits>
-#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -67,9 +66,8 @@
 #include "dist/work_unit.hpp"
 #include "engine/sim_engine.hpp"
 #include "ldpc/core/registry.hpp"
-#include "obs/export.hpp"
-#include "obs/journal.hpp"
 #include "obs/metrics.hpp"
+#include "obs/session.hpp"
 #include "sim/ber_runner.hpp"
 #include "util/atomic_file.hpp"
 #include "util/cli.hpp"
@@ -220,25 +218,10 @@ int RunMain(int argc, char** argv) {
     std::printf("[coordinator] %s\n", line.c_str());
   };
 
-  obs::ExportOptions export_opts;
-  export_opts.metrics_json = args.GetString("metrics-json", "");
-  export_opts.print_table = args.GetBool("metrics");
-  obs::MetricsRegistry registry;
-  options.snapshot_interval_ms = args.GetInt("metrics-interval-ms", 0);
-  options.snapshot_latest_path = args.GetString("metrics-latest", "");
-  options.snapshot_history_path = args.GetString("snapshots-jsonl", "");
-  const bool want_metrics = export_opts.print_table ||
-                            !export_opts.metrics_json.empty() ||
-                            options.snapshot_interval_ms > 0;
-  if (want_metrics) options.metrics = &registry;
-
-  std::unique_ptr<obs::EventJournal> journal;
-  const std::string events_path = args.GetString("events-jsonl", "");
-  if (!events_path.empty()) {
-    journal = std::make_unique<obs::EventJournal>(
-        obs::EventJournalOptions{events_path});
-    options.journal = journal.get();
-  }
+  obs::Session obs_session(args, {.live = true});
+  options.metrics = obs_session.metrics();
+  options.snapshots = obs_session.snapshots();
+  options.journal = obs_session.journal();
 
   const dist::ShardFaultInjector injector(options.faults);
   if (injector.armed()) {
@@ -295,15 +278,10 @@ int RunMain(int argc, char** argv) {
       std::printf("Merged curve written to %s (diff against "
                   "--reference --curve-out)\n", curve_out.c_str());
     }
-    if (want_metrics) dist::MergedCountersToRegistry(report.merged, registry);
+    if (options.metrics != nullptr)
+      dist::MergedCountersToRegistry(report.merged, *options.metrics);
   }
-  if (want_metrics) obs::ExportMetrics(registry, export_opts);
-  if (journal) {
-    journal->Close();
-    std::printf("Event journal: %llu events -> %s\n",
-                static_cast<unsigned long long>(journal->entries()),
-                journal->path().c_str());
-  }
+  obs_session.Export();
 
   // The accounting identity gates every exit path: a bookkeeping bug
   // beats any other status.

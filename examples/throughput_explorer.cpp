@@ -69,8 +69,7 @@
 #include "ldpc/core/dispatch.hpp"
 #include "ldpc/core/registry.hpp"
 #include "obs/alloc_probe.hpp"
-#include "obs/export.hpp"
-#include "obs/metrics.hpp"
+#include "obs/session.hpp"
 #include "qc/ccsds_c2.hpp"
 #include "sim/ber_runner.hpp"
 #include "util/cli.hpp"
@@ -166,16 +165,8 @@ int RunMain(int argc, char** argv) {
     mc.frame_check = system.frame_check;
     util::InstallShutdownHandler();
     mc.cancel = &util::ShutdownRequested();
-    obs::ExportOptions export_opts;
-    export_opts.metrics_json = args.GetString("metrics-json", "");
-    export_opts.trace_json = args.GetString("trace-json", "");
-    export_opts.print_table = args.GetBool("metrics");
-    const bool want_metrics = export_opts.print_table ||
-                              !export_opts.metrics_json.empty() ||
-                              !export_opts.trace_json.empty();
-    obs::MetricsRegistry registry;
-    if (!export_opts.trace_json.empty()) registry.EnableTracing();
-    if (want_metrics) mc.metrics = &registry;
+    obs::Session obs_session(args, {.trace = true});
+    mc.metrics = obs_session.metrics();
 
     sim::BerRunner runner(*system.code, *system.encoder, mc);
     const bool alloc_stats = args.GetBool("alloc-stats");
@@ -194,10 +185,8 @@ int RunMain(int argc, char** argv) {
       // Interrupted before any frame finished: there is no operating
       // point to report, but metrics still flush and the exit is
       // clean.
-      if (want_metrics) {
-        registry.SetGauge("engine.elapsed_seconds", elapsed);
-        obs::ExportMetrics(registry, export_opts);
-      }
+      if (mc.metrics) mc.metrics->SetGauge("engine.elapsed_seconds", elapsed);
+      obs_session.Export();
       return 0;
     }
     const auto& point = curve.points.front();
@@ -249,11 +238,11 @@ int RunMain(int argc, char** argv) {
                               0)});
     }
     std::printf("\n%s", mt.Render("Measured operating point").c_str());
-    if (want_metrics) {
-      registry.SetGauge("engine.elapsed_seconds", elapsed);
-      registry.SetGauge("engine.frames_per_second", sim_fps);
-      obs::ExportMetrics(registry, export_opts);
+    if (mc.metrics) {
+      mc.metrics->SetGauge("engine.elapsed_seconds", elapsed);
+      mc.metrics->SetGauge("engine.frames_per_second", sim_fps);
     }
+    obs_session.Export();
     std::printf("\nThe gap is what an early-termination controller would "
                 "buy: above the waterfall most frames converge well "
                 "before iteration %d.\n",

@@ -351,19 +351,14 @@ CoordinatorReport RunCoordinator(const std::vector<WorkUnit>& units,
   // a publisher thread held the malloc or file locks could deadlock.
   std::unique_ptr<obs::SnapshotPublisher> publisher;
   auto next_snapshot = Clock::time_point::max();
-  if (options.metrics != nullptr && options.snapshot_interval_ms > 0) {
+  if (options.metrics != nullptr && options.snapshots != nullptr) {
     for (const auto& st : shards)
       options.metrics->SetGauge(
           "shard.unit." + st.unit.Id() + ".frames_total",
           static_cast<double>(st.unit.TotalFrames()));
-    obs::SnapshotOptions snap;
-    snap.interval = std::chrono::milliseconds(options.snapshot_interval_ms);
-    snap.latest_json_path = options.snapshot_latest_path;
-    snap.history_jsonl_path = options.snapshot_history_path;
     publisher = std::make_unique<obs::SnapshotPublisher>(*options.metrics,
-                                                         std::move(snap));
-    next_snapshot = Clock::now() +
-                    std::chrono::milliseconds(options.snapshot_interval_ms);
+                                                         *options.snapshots);
+    next_snapshot = Clock::now() + options.snapshots->interval;
   }
 
   bool sent_interrupt = false;
@@ -439,8 +434,7 @@ CoordinatorReport RunCoordinator(const std::vector<WorkUnit>& units,
       }
       publish_ledger_gauges(false);
       publisher->PublishNow(false);
-      next_snapshot = Clock::now() +
-                      std::chrono::milliseconds(options.snapshot_interval_ms);
+      next_snapshot = Clock::now() + options.snapshots->interval;
     }
 
     // 5. Exit when nothing is running and nothing more will be.

@@ -57,6 +57,7 @@
 namespace cldpc::obs {
 class MetricsRegistry;
 class EventJournal;
+struct SnapshotOptions;
 }
 
 namespace cldpc::dist {
@@ -94,18 +95,14 @@ struct CoordinatorOptions {
   /// Coordinator-side bookkeeping metrics (borrowed): shard.*
   /// counters and the accounting gauges.
   obs::MetricsRegistry* metrics = nullptr;
-  /// Live observability (all optional, all borrowed). With metrics
-  /// set and snapshot_interval_ms > 0, the coordinator runs a
-  /// SnapshotPublisher for its run: the main loop keeps the ledger
-  /// gauges (shard.frames_*) and per-shard progress gauges
-  /// (shard.unit.<id>.frames_banked / .frames_total, from scanning
-  /// the checkpoints it already owns) current, and the publisher
-  /// serializes them on the interval.
-  std::int64_t snapshot_interval_ms = 0;
-  /// Atomic-rename latest-snapshot JSON ("" = skip).
-  std::string snapshot_latest_path;
-  /// Append-only snapshot history JSONL ("" = skip).
-  std::string snapshot_history_path;
+  /// Live snapshots (borrowed; null = off). With metrics set too, the
+  /// coordinator publishes a snapshot every `interval` with the
+  /// options' outputs: the main loop keeps the ledger gauges
+  /// (shard.frames_*) and per-shard progress gauges
+  /// (shard.unit.<id>.frames_banked / .frames_total, from scanning the
+  /// checkpoints it already owns) current, and publishes inline — no
+  /// publisher thread, see RunCoordinator.
+  const obs::SnapshotOptions* snapshots = nullptr;
   /// cldpc-events-v1 journal for dispatch/reap/retry/timeout/bank
   /// transitions (null = off).
   obs::EventJournal* journal = nullptr;

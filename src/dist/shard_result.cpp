@@ -130,8 +130,10 @@ StableCounters StableCounters::FromRegistry(
       c.frames_accepted = counter.value;
     else if (counter.name == kUndetected) c.undetected_errors = counter.value;
   }
-  for (const auto& hist : merged.histograms)
-    if (hist.name == kIterationsHist) c.iterations.Merge(hist.hist);
+  for (const auto& hist : merged.histograms) {
+    if (hist.name != kIterationsHist) continue;
+    for (const auto& [value, count] : hist.bins) c.iterations.Add(value, count);
+  }
   return c;
 }
 

@@ -1,45 +1,22 @@
 #include "obs/export.hpp"
 
-#include <cinttypes>
+#include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <ostream>
 #include <sstream>
 
+#include "util/json.hpp"
 #include "util/table.hpp"
 
 namespace cldpc::obs {
 namespace {
 
-std::string EscapeJson(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-/// Floats in the schema must parse back as finite JSON numbers; %g
-/// with enough digits round-trips doubles and never emits nan/inf
-/// for the values we produce (guarded upstream, checked by the
-/// validator).
+/// Floats in the schema must parse back as finite JSON numbers: %g
+/// with enough digits round-trips doubles, and a non-finite value
+/// (which JSON cannot encode) is written as 0.
 std::string FormatJsonDouble(double v) {
   char buf[32];
-  std::snprintf(buf, sizeof buf, "%.12g", v);
+  std::snprintf(buf, sizeof buf, "%.12g", std::isfinite(v) ? v : 0.0);
   return buf;
 }
 
@@ -54,39 +31,37 @@ const char* DetTag(Determinism det) {
 
 }  // namespace
 
-void WriteMetricsJson(const MergedMetrics& metrics, std::ostream& os) {
+void WriteMetricsJson(const MetricsView& metrics, std::ostream& os) {
+  using util::JsonQuote;
   os << "{\n  \"schema\": \"cldpc-metrics-v1\",\n  \"counters\": {";
   for (std::size_t i = 0; i < metrics.counters.size(); ++i) {
     const auto& c = metrics.counters[i];
-    os << (i ? "," : "") << "\n    \"" << EscapeJson(c.name)
-       << "\": " << c.value;
+    os << (i ? "," : "") << "\n    " << JsonQuote(c.name) << ": " << c.value;
   }
   os << (metrics.counters.empty() ? "" : "\n  ") << "},\n  \"histograms\": {";
   for (std::size_t i = 0; i < metrics.histograms.size(); ++i) {
     const auto& h = metrics.histograms[i];
-    const auto s = h.hist.Summarize();
-    os << (i ? "," : "") << "\n    \"" << EscapeJson(h.name) << "\": {"
-       << "\"unit\": \"" << EscapeJson(h.unit) << "\", \"count\": " << s.count
-       << ", \"min\": " << s.min << ", \"max\": " << s.max
-       << ", \"mean\": " << FormatJsonDouble(s.mean) << ", \"p50\": " << s.p50
-       << ", \"p90\": " << s.p90 << ", \"p99\": " << s.p99 << ", \"bins\": [";
-    bool first = true;
-    for (const auto& [value, count] : h.hist.bins()) {
-      os << (first ? "" : ", ") << "[" << value << ", " << count << "]";
-      first = false;
+    os << (i ? "," : "") << "\n    " << JsonQuote(h.name) << ": {"
+       << "\"unit\": " << JsonQuote(h.unit) << ", \"count\": " << h.count
+       << ", \"min\": " << h.min << ", \"max\": " << h.max
+       << ", \"mean\": " << FormatJsonDouble(h.mean) << ", \"p50\": " << h.p50
+       << ", \"p90\": " << h.p90 << ", \"p99\": " << h.p99 << ", \"bins\": [";
+    for (std::size_t b = 0; b < h.bins.size(); ++b) {
+      os << (b ? ", " : "") << "[" << h.bins[b].first << ", "
+         << h.bins[b].second << "]";
     }
     os << "]}";
   }
   os << (metrics.histograms.empty() ? "" : "\n  ") << "},\n  \"gauges\": {";
   for (std::size_t i = 0; i < metrics.gauges.size(); ++i) {
     const auto& g = metrics.gauges[i];
-    os << (i ? "," : "") << "\n    \"" << EscapeJson(g.name)
-       << "\": " << FormatJsonDouble(g.value);
+    os << (i ? "," : "") << "\n    " << JsonQuote(g.name) << ": "
+       << FormatJsonDouble(g.value);
   }
   os << (metrics.gauges.empty() ? "" : "\n  ") << "},\n  \"nondeterministic\": [";
   bool first = true;
   const auto list = [&](const std::string& name) {
-    os << (first ? "" : ", ") << "\"" << EscapeJson(name) << "\"";
+    os << (first ? "" : ", ") << JsonQuote(name);
     first = false;
   };
   for (const auto& c : metrics.counters) {
@@ -99,7 +74,7 @@ void WriteMetricsJson(const MergedMetrics& metrics, std::ostream& os) {
   os << "]\n}\n";
 }
 
-std::string RenderMetricsTable(const MergedMetrics& metrics) {
+std::string RenderMetricsTable(const MetricsView& metrics) {
   std::ostringstream os;
   if (!metrics.counters.empty()) {
     TablePrinter t({"Counter", "Value", ""});
@@ -111,10 +86,9 @@ std::string RenderMetricsTable(const MergedMetrics& metrics) {
     TablePrinter t(
         {"Histogram", "Count", "Mean", "p50", "p90", "p99", "Unit", ""});
     for (const auto& h : metrics.histograms) {
-      const auto s = h.hist.Summarize();
-      t.AddRow({h.name, FormatCount(s.count), FormatDouble(s.mean, 2),
-                std::to_string(s.p50), std::to_string(s.p90),
-                std::to_string(s.p99), h.unit, DetTag(h.det)});
+      t.AddRow({h.name, FormatCount(h.count), FormatDouble(h.mean, 2),
+                std::to_string(h.p50), std::to_string(h.p90),
+                std::to_string(h.p99), h.unit, DetTag(h.det)});
     }
     os << "\n" << t.Render("Histograms");
   }
@@ -142,50 +116,22 @@ void WriteTraceJson(const MetricsRegistry& registry, std::ostream& os) {
        << s << ", \"args\": {\"name\": \"" << label << "\"}}";
   }
   for (const auto& [tid, ev] : registry.CollectTrace()) {
-    os << ",\n  {\"name\": \"" << EscapeJson(ev.name)
-       << "\", \"ph\": \"X\", \"pid\": 1, \"tid\": " << tid << ", \"ts\": "
+    os << ",\n  {\"name\": " << util::JsonQuote(ev.name)
+       << ", \"ph\": \"X\", \"pid\": 1, \"tid\": " << tid << ", \"ts\": "
        << FormatJsonDouble(static_cast<double>(ev.ts_ns) / 1000.0)
        << ", \"dur\": "
        << FormatJsonDouble(static_cast<double>(ev.dur_ns) / 1000.0);
     if (ev.arg_names[0] != nullptr) {
       os << ", \"args\": {";
       for (int a = 0; a < 3 && ev.arg_names[a] != nullptr; ++a) {
-        os << (a ? ", " : "") << "\"" << EscapeJson(ev.arg_names[a])
-           << "\": " << ev.arg_values[a];
+        os << (a ? ", " : "") << util::JsonQuote(ev.arg_names[a]) << ": "
+           << ev.arg_values[a];
       }
       os << "}";
     }
     os << "}";
   }
   os << "\n], \"displayTimeUnit\": \"ms\"}\n";
-}
-
-bool ExportMetrics(const MetricsRegistry& registry,
-                   const ExportOptions& options) {
-  const auto merged = registry.Merge();
-  bool ok = true;
-  if (!options.metrics_json.empty()) {
-    std::ofstream f(options.metrics_json);
-    if (f) {
-      WriteMetricsJson(merged, f);
-      std::fprintf(stderr, "metrics: wrote %s\n",
-                   options.metrics_json.c_str());
-    }
-    ok = ok && static_cast<bool>(f);
-  }
-  if (!options.trace_json.empty()) {
-    std::ofstream f(options.trace_json);
-    if (f) {
-      WriteTraceJson(registry, f);
-      std::fprintf(stderr,
-                   "metrics: wrote %s (load in chrome://tracing)\n",
-                   options.trace_json.c_str());
-    }
-    ok = ok && static_cast<bool>(f);
-  }
-  if (options.print_table) std::printf("\n%s", RenderMetricsTable(merged).c_str());
-  if (!ok) std::fprintf(stderr, "metrics: failed to write an artifact\n");
-  return ok;
 }
 
 }  // namespace cldpc::obs

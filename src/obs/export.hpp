@@ -22,7 +22,9 @@
 // kScheduling or kWallClock, plus every gauge (gauges are run-
 // dependent by definition). Everything NOT listed is a pure function
 // of (config, seed) — byte-identical for --threads=1 vs --threads=N —
-// and tooling may diff that subset hard (the CI does).
+// and tooling may diff that subset hard (the CI does). "bins" are
+// exact [value, count] pairs, except in the SIGINT emergency flush,
+// which writes the live view's [log2-bucket upper bound, count].
 //
 // ## Trace JSON
 //
@@ -39,28 +41,16 @@
 
 namespace cldpc::obs {
 
-void WriteMetricsJson(const MergedMetrics& metrics, std::ostream& os);
+/// The one cldpc-metrics-v1 writer: the final export writes the exact
+/// Merge() view, the SIGINT emergency flush (SnapshotPublisher) the
+/// live Snapshot() view.
+void WriteMetricsJson(const MetricsView& metrics, std::ostream& os);
 
 /// Aligned text rendering of every counter, histogram summary and
 /// gauge ("[scheduling]" / "[wall-clock]" tags mark the
 /// nondeterministic ones).
-std::string RenderMetricsTable(const MergedMetrics& metrics);
+std::string RenderMetricsTable(const MetricsView& metrics);
 
 void WriteTraceJson(const MetricsRegistry& registry, std::ostream& os);
-
-/// What the --metrics-json= / --trace-json= / --metrics flags
-/// request. Empty paths / false mean "skip".
-struct ExportOptions {
-  std::string metrics_json;
-  std::string trace_json;
-  bool print_table = false;
-};
-
-/// Write the requested artifacts (notices go to stderr so stdout
-/// stays byte-identical with metrics off, unless the table is
-/// explicitly requested). Returns false if a file could not be
-/// written.
-bool ExportMetrics(const MetricsRegistry& registry,
-                   const ExportOptions& options);
 
 }  // namespace cldpc::obs

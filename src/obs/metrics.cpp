@@ -92,45 +92,46 @@ std::uint64_t MetricsRegistry::MergedCounter(CounterId id) const {
   return total;
 }
 
-MergedMetrics MetricsRegistry::Merge() const {
-  MergedMetrics out;
+MetricsView MetricsRegistry::CountersAndGauges() const {
+  MetricsView out;
   out.counters.reserve(counter_defs_.size());
   for (std::uint32_t c = 0; c < counter_defs_.size(); ++c) {
     out.counters.push_back(
         {counter_defs_[c].name, counter_defs_[c].det, MergedCounter({c})});
   }
+  std::lock_guard<std::mutex> lock(gauge_mutex_);
+  out.gauges.reserve(gauges_.size());
+  for (const auto& [name, value] : gauges_) out.gauges.push_back({name, value});
+  return out;
+}
+
+MetricsView MetricsRegistry::Merge() const {
+  MetricsView out = CountersAndGauges();
   out.histograms.reserve(hist_defs_.size());
   for (std::uint32_t h = 0; h < hist_defs_.size(); ++h) {
-    MergedMetrics::Hist merged{hist_defs_[h].name, hist_defs_[h].det,
-                               hist_defs_[h].unit, {}};
     // In shard-index order: not needed for correctness (integer bin
     // merges commute) but it keeps the walk order reproducible.
-    for (const auto& shard : shards_) merged.hist.Merge(shard->hists_[h]);
-    out.histograms.push_back(std::move(merged));
-  }
-  {
-    std::lock_guard<std::mutex> lock(gauge_mutex_);
-    out.gauges.reserve(gauges_.size());
-    for (const auto& [name, value] : gauges_)
-      out.gauges.push_back({name, value});
+    Histogram merged;
+    for (const auto& shard : shards_) merged.Merge(shard->hists_[h]);
+    const auto s = merged.Summarize();
+    out.histograms.push_back({hist_defs_[h].name, hist_defs_[h].det,
+                              hist_defs_[h].unit, s.count, s.min, s.max,
+                              s.mean, s.p50, s.p90, s.p99,
+                              {merged.bins().begin(), merged.bins().end()}});
   }
   return out;
 }
 
-RegistrySnapshot MetricsRegistry::Snapshot() const {
+MetricsView MetricsRegistry::Snapshot() const {
   namespace d = detail;
-  RegistrySnapshot out;
-  out.counters.reserve(counter_defs_.size());
-  for (std::uint32_t c = 0; c < counter_defs_.size(); ++c) {
-    out.counters.push_back(
-        {counter_defs_[c].name, counter_defs_[c].det, MergedCounter({c})});
-  }
+  MetricsView out = CountersAndGauges();
   out.histograms.reserve(hist_defs_.size());
   for (std::uint32_t h = 0; h < hist_defs_.size(); ++h) {
-    RegistrySnapshot::Hist merged;
+    MetricsView::Hist merged;
     merged.name = hist_defs_[h].name;
     merged.det = hist_defs_[h].det;
     merged.unit = hist_defs_[h].unit;
+    std::uint64_t buckets[kLiveHistBuckets] = {};
     std::int64_t sum = 0;
     bool any = false;
     for (const auto& shard : shards_) {
@@ -146,10 +147,13 @@ RegistrySnapshot MetricsRegistry::Snapshot() const {
       any = true;
       sum += d::RelaxedLoad(live.sum);
       for (std::size_t b = 0; b < kLiveHistBuckets; ++b)
-        merged.buckets[b] += d::RelaxedLoad(live.buckets[b]);
+        buckets[b] += d::RelaxedLoad(live.buckets[b]);
     }
-    for (std::size_t b = 0; b < kLiveHistBuckets; ++b)
-      merged.count += merged.buckets[b];
+    for (std::size_t b = 0; b < kLiveHistBuckets; ++b) {
+      if (buckets[b] == 0) continue;
+      merged.count += buckets[b];
+      merged.bins.emplace_back(LiveBucketUpperBound(b), buckets[b]);
+    }
     if (merged.count > 0) {
       merged.mean =
           static_cast<double>(sum) / static_cast<double>(merged.count);
@@ -157,22 +161,17 @@ RegistrySnapshot MetricsRegistry::Snapshot() const {
         const auto rank = static_cast<std::uint64_t>(
             q * static_cast<double>(merged.count - 1));
         std::uint64_t seen = 0;
-        for (std::size_t b = 0; b < kLiveHistBuckets; ++b) {
-          seen += merged.buckets[b];
-          if (seen > rank) return LiveBucketUpperBound(b);
+        for (const auto& [upper, n] : merged.bins) {
+          seen += n;
+          if (seen > rank) return upper;
         }
         return merged.max;
       };
       merged.p50 = quantile(0.50);
+      merged.p90 = quantile(0.90);
       merged.p99 = quantile(0.99);
     }
     out.histograms.push_back(std::move(merged));
-  }
-  {
-    std::lock_guard<std::mutex> lock(gauge_mutex_);
-    out.gauges.reserve(gauges_.size());
-    for (const auto& [name, value] : gauges_)
-      out.gauges.push_back({name, value});
   }
   return out;
 }

@@ -208,36 +208,17 @@ class Shard {
   bool tracing_ = false;
 };
 
-/// Merged, export-ready view of a registry (see MetricsRegistry::
-/// Merge). Entries keep registration order, so exports are stable.
-struct MergedMetrics {
-  struct Counter {
-    std::string name;
-    Determinism det;
-    std::uint64_t value;
-  };
-  struct Hist {
-    std::string name;
-    Determinism det;
-    std::string unit;
-    Histogram hist;
-  };
-  struct Gauge {
-    std::string name;
-    double value;
-  };
-  std::vector<Counter> counters;
-  std::vector<Hist> histograms;
-  std::vector<Gauge> gauges;  // always wall-clock / run-dependent
-};
-
-/// Live view produced by MetricsRegistry::Snapshot() — safe to take
-/// while workers record. Counters are exact per cell; histogram stats
-/// come from the LiveHist log2 buckets, so p50/p99 are bucket UPPER
-/// BOUNDS (within 2x of the true quantile), and cross-metric skew of
-/// up to one in-flight batch is expected. After the data plane stops,
-/// a snapshot equals the exact Merge() counters.
-struct RegistrySnapshot {
+/// The one export-ready view of a registry: what Merge() and
+/// Snapshot() both return, and what WriteMetricsJson /
+/// RenderMetricsTable render. Entries keep registration order, so
+/// exports are stable. The producers differ only in how exact the
+/// histogram fields are:
+///   Merge()    — `bins` are the recorded values; quantiles are
+///                Histogram::Summarize's nearest-rank values.
+///   Snapshot() — `bins` are [log2-bucket upper bound, count] pairs;
+///                each quantile is the upper bound of the bucket
+///                holding rank floor(q·(N−1)), within 2x of the truth.
+struct MetricsView {
   struct Counter {
     std::string name;
     Determinism det;
@@ -251,9 +232,10 @@ struct RegistrySnapshot {
     std::int64_t min = 0;  // valid only when count > 0
     std::int64_t max = 0;
     double mean = 0.0;
-    std::int64_t p50 = 0;  // log2-bucket upper bound
+    std::int64_t p50 = 0;
+    std::int64_t p90 = 0;
     std::int64_t p99 = 0;
-    std::uint64_t buckets[kLiveHistBuckets] = {};
+    std::vector<std::pair<std::int64_t, std::uint64_t>> bins;  // ascending
   };
   struct Gauge {
     std::string name;
@@ -261,7 +243,7 @@ struct RegistrySnapshot {
   };
   std::vector<Counter> counters;
   std::vector<Hist> histograms;
-  std::vector<Gauge> gauges;
+  std::vector<Gauge> gauges;  // always wall-clock / run-dependent
 };
 
 class MetricsRegistry {
@@ -295,16 +277,19 @@ class MetricsRegistry {
   /// Sum of one counter over all shards (control-plane convenience).
   std::uint64_t MergedCounter(CounterId id) const;
 
-  /// Deterministic in-order merge: shard 0 first, then 1, 2, ... For
-  /// integer counters and histograms the result is independent of
-  /// which worker recorded what — addition commutes — which is what
-  /// makes kStable metrics thread-count-invariant.
-  MergedMetrics Merge() const;
+  /// Exact control-plane view, merged in shard order: shard 0 first,
+  /// then 1, 2, ... For integer counters and histograms the result is
+  /// independent of which worker recorded what — addition commutes —
+  /// which is what makes kStable metrics thread-count-invariant.
+  MetricsView Merge() const;
 
-  /// Live, non-stalling read of every counter and live-histogram stat
-  /// across all shards (see RegistrySnapshot). Never blocks or
+  /// Live, non-stalling view from the counter cells and the LiveHist
+  /// log2 buckets; safe while workers record. Counters are exact per
+  /// cell, but cross-metric skew of up to one in-flight batch is
+  /// expected; after the data plane stops, counters, gauges and
+  /// histogram count/min/max equal Merge()'s. Never blocks or
   /// perturbs the data plane; call from at most one thread at a time.
-  RegistrySnapshot Snapshot() const;
+  MetricsView Snapshot() const;
 
   /// All trace events, tagged with their shard index (chrome tid).
   std::vector<std::pair<std::size_t, TraceEvent>> CollectTrace() const;
@@ -319,6 +304,9 @@ class MetricsRegistry {
     Determinism det;
     std::string unit;
   };
+
+  /// A view with every counter and gauge filled in and no histograms.
+  MetricsView CountersAndGauges() const;
 
   std::vector<CounterDef> counter_defs_;
   std::vector<HistDef> hist_defs_;

@@ -1,10 +1,11 @@
 #include "obs/snapshot.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <fstream>
+#include <sstream>
 #include <utility>
 
+#include "obs/export.hpp"
 #include "util/atomic_file.hpp"
 #include "util/json.hpp"
 #include "util/shutdown.hpp"
@@ -17,19 +18,14 @@ util::JsonValue FiniteDouble(double v) {
   return util::JsonValue::Double(std::isfinite(v) ? v : 0.0);
 }
 
-/// Quantile over live log2 buckets: upper bound of the bucket holding
-/// the rank-th sample (same rule as RegistrySnapshot's p50/p99).
-std::int64_t BucketQuantile(const std::uint64_t* buckets,
-                            std::uint64_t count, double q) {
-  if (count == 0) return 0;
-  const auto rank =
-      static_cast<std::uint64_t>(q * static_cast<double>(count - 1));
-  std::uint64_t seen = 0;
-  for (std::size_t b = 0; b < kLiveHistBuckets; ++b) {
-    seen += buckets[b];
-    if (seen > rank) return LiveBucketUpperBound(b);
-  }
-  return LiveBucketUpperBound(kLiveHistBuckets - 1);
+/// Change since the previous reading, which it then replaces. Totals
+/// are monotonic (adds, or absolute re-publishes of monotonic
+/// externals); clamp anyway so one out-of-order sync can never
+/// underflow the delta.
+std::uint64_t TakeDelta(std::uint64_t now, std::uint64_t& prev) {
+  const std::uint64_t delta = now >= prev ? now - prev : 0;
+  prev = now;
+  return delta;
 }
 
 }  // namespace
@@ -42,19 +38,20 @@ std::string SnapshotToJson(const MetricsSnapshot& snapshot) {
   doc.Set("elapsed_ms", JsonValue::Uint(snapshot.elapsed_ms));
   doc.Set("final", JsonValue::Bool(snapshot.final_flush));
   JsonValue counters = JsonValue::Object();
-  for (const auto& c : snapshot.counters) {
+  for (std::size_t i = 0; i < snapshot.counters.size(); ++i) {
     JsonValue entry = JsonValue::Object();
-    entry.Set("total", JsonValue::Uint(c.total));
-    entry.Set("delta", JsonValue::Uint(c.delta));
-    counters.Set(c.name, std::move(entry));
+    entry.Set("total", JsonValue::Uint(snapshot.counters[i].value));
+    entry.Set("delta", JsonValue::Uint(snapshot.counter_deltas[i]));
+    counters.Set(snapshot.counters[i].name, std::move(entry));
   }
   doc.Set("counters", std::move(counters));
   JsonValue hists = JsonValue::Object();
-  for (const auto& h : snapshot.histograms) {
+  for (std::size_t i = 0; i < snapshot.histograms.size(); ++i) {
+    const auto& h = snapshot.histograms[i];
     JsonValue entry = JsonValue::Object();
     entry.Set("unit", JsonValue::Str(h.unit));
     entry.Set("count", JsonValue::Uint(h.count));
-    entry.Set("delta_count", JsonValue::Uint(h.delta_count));
+    entry.Set("delta_count", JsonValue::Uint(snapshot.hist_count_deltas[i]));
     entry.Set("min", JsonValue::Int(h.min));
     entry.Set("max", JsonValue::Int(h.max));
     entry.Set("mean", FiniteDouble(h.mean));
@@ -69,71 +66,26 @@ std::string SnapshotToJson(const MetricsSnapshot& snapshot) {
   return doc.Serialize();
 }
 
-std::string MetricsJsonFromLive(const RegistrySnapshot& live) {
-  using util::JsonValue;
-  JsonValue doc = JsonValue::Object();
-  doc.Set("schema", JsonValue::Str("cldpc-metrics-v1"));
-  JsonValue counters = JsonValue::Object();
-  JsonValue nondet = JsonValue::Array();
-  for (const auto& c : live.counters) {
-    counters.Set(c.name, JsonValue::Uint(c.value));
-    if (c.det != Determinism::kStable) nondet.PushBack(JsonValue::Str(c.name));
-  }
-  doc.Set("counters", std::move(counters));
-  JsonValue hists = JsonValue::Object();
-  for (const auto& h : live.histograms) {
-    JsonValue entry = JsonValue::Object();
-    entry.Set("unit", JsonValue::Str(h.unit));
-    entry.Set("count", JsonValue::Uint(h.count));
-    entry.Set("min", JsonValue::Int(h.min));
-    entry.Set("max", JsonValue::Int(h.max));
-    entry.Set("mean", FiniteDouble(h.mean));
-    entry.Set("p50", JsonValue::Int(h.p50));
-    entry.Set("p90",
-              JsonValue::Int(BucketQuantile(h.buckets, h.count, 0.90)));
-    entry.Set("p99", JsonValue::Int(h.p99));
-    // Live stand-in for the exact bins: one [upper_bound, count] pair
-    // per occupied log2 bucket.
-    JsonValue bins = JsonValue::Array();
-    for (std::size_t b = 0; b < kLiveHistBuckets; ++b) {
-      if (h.buckets[b] == 0) continue;
-      JsonValue bin = JsonValue::Array();
-      bin.PushBack(JsonValue::Int(LiveBucketUpperBound(b)));
-      bin.PushBack(JsonValue::Uint(h.buckets[b]));
-      bins.PushBack(std::move(bin));
-    }
-    entry.Set("bins", std::move(bins));
-    hists.Set(h.name, std::move(entry));
-    if (h.det != Determinism::kStable) nondet.PushBack(JsonValue::Str(h.name));
-  }
-  doc.Set("histograms", std::move(hists));
-  JsonValue gauges = JsonValue::Object();
-  for (const auto& g : live.gauges) {
-    gauges.Set(g.name, FiniteDouble(g.value));
-    nondet.PushBack(JsonValue::Str(g.name));
-  }
-  doc.Set("gauges", std::move(gauges));
-  doc.Set("nondeterministic", std::move(nondet));
-  return doc.Serialize();
-}
-
 std::string RenderSnapshotTable(const MetricsSnapshot& snapshot,
                                 std::uint64_t interval_ms) {
   const double per_s = interval_ms > 0
                            ? 1000.0 / static_cast<double>(interval_ms)
                            : 0.0;
   TablePrinter t({"Metric", "Total", "Rate/s", "p50", "p99", "Unit"});
-  for (const auto& c : snapshot.counters) {
-    if (c.total == 0) continue;  // keep the live view readable
-    t.AddRow({c.name, FormatCount(c.total),
-              FormatDouble(static_cast<double>(c.delta) * per_s, 1), "", "",
-              ""});
+  const auto rate = [per_s](std::uint64_t delta) {
+    return FormatDouble(static_cast<double>(delta) * per_s, 1);
+  };
+  for (std::size_t i = 0; i < snapshot.counters.size(); ++i) {
+    const auto& c = snapshot.counters[i];
+    if (c.value == 0) continue;  // keep the live view readable
+    t.AddRow({c.name, FormatCount(c.value), rate(snapshot.counter_deltas[i]),
+              "", "", ""});
   }
   t.AddRule();
-  for (const auto& h : snapshot.histograms) {
+  for (std::size_t i = 0; i < snapshot.histograms.size(); ++i) {
+    const auto& h = snapshot.histograms[i];
     if (h.count == 0) continue;
-    t.AddRow({h.name, FormatCount(h.count),
-              FormatDouble(static_cast<double>(h.delta_count) * per_s, 1),
+    t.AddRow({h.name, FormatCount(h.count), rate(snapshot.hist_count_deltas[i]),
               std::to_string(h.p50), std::to_string(h.p99), h.unit});
   }
   t.AddRule();
@@ -183,56 +135,33 @@ void SnapshotPublisher::Stop() {
 
 MetricsSnapshot SnapshotPublisher::PublishNow(bool final_flush) {
   if (options_.pre_snapshot) options_.pre_snapshot();
-  const RegistrySnapshot live = registry_.Snapshot();
-
   MetricsSnapshot snapshot;
+  static_cast<MetricsView&>(snapshot) = registry_.Snapshot();
   snapshot.seq = ++seq_;
   snapshot.elapsed_ms = static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::milliseconds>(
           std::chrono::steady_clock::now() - start_)
           .count());
   snapshot.final_flush = final_flush;
-  prev_counter_totals_.resize(live.counters.size(), 0);
-  snapshot.counters.reserve(live.counters.size());
-  for (std::size_t i = 0; i < live.counters.size(); ++i) {
-    const auto& c = live.counters[i];
-    const std::uint64_t prev = prev_counter_totals_[i];
-    // Totals are monotonic (adds, or absolute re-publishes of
-    // monotonic externals); clamp anyway so one out-of-order sync can
-    // never underflow the delta.
-    snapshot.counters.push_back(
-        {c.name, c.det, c.value, c.value >= prev ? c.value - prev : 0});
-    prev_counter_totals_[i] = c.value;
+  prev_counter_totals_.resize(snapshot.counters.size(), 0);
+  for (std::size_t i = 0; i < snapshot.counters.size(); ++i) {
+    snapshot.counter_deltas.push_back(
+        TakeDelta(snapshot.counters[i].value, prev_counter_totals_[i]));
   }
-  prev_hist_counts_.resize(live.histograms.size(), 0);
-  snapshot.histograms.reserve(live.histograms.size());
-  for (std::size_t i = 0; i < live.histograms.size(); ++i) {
-    const auto& h = live.histograms[i];
-    MetricsSnapshot::Hist out;
-    out.name = h.name;
-    out.det = h.det;
-    out.unit = h.unit;
-    out.count = h.count;
-    const std::uint64_t prev = prev_hist_counts_[i];
-    out.delta_count = h.count >= prev ? h.count - prev : 0;
-    prev_hist_counts_[i] = h.count;
-    out.min = h.min;
-    out.max = h.max;
-    out.mean = h.mean;
-    out.p50 = h.p50;
-    out.p99 = h.p99;
-    snapshot.histograms.push_back(std::move(out));
+  prev_hist_counts_.resize(snapshot.histograms.size(), 0);
+  for (std::size_t i = 0; i < snapshot.histograms.size(); ++i) {
+    snapshot.hist_count_deltas.push_back(
+        TakeDelta(snapshot.histograms[i].count, prev_hist_counts_[i]));
   }
-  snapshot.gauges.reserve(live.gauges.size());
-  for (const auto& g : live.gauges) snapshot.gauges.push_back({g.name, g.value});
 
   Emit(snapshot);
 
   if (!wrote_emergency_ && !options_.emergency_metrics_json.empty() &&
       util::ShutdownRequested().load(std::memory_order_relaxed)) {
     wrote_emergency_ = true;
-    util::WriteFileAtomic(options_.emergency_metrics_json,
-                          MetricsJsonFromLive(live) + "\n");
+    std::ostringstream doc;
+    WriteMetricsJson(snapshot, doc);
+    util::WriteFileAtomic(options_.emergency_metrics_json, doc.str());
   }
   return snapshot;
 }

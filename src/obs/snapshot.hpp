@@ -22,9 +22,9 @@
 // the sum of every snapshot's delta equals the final total — the
 // identity bench/check_bench_regression.py --validate-snapshots
 // enforces. Histogram p50/p99 are log2-bucket upper bounds (see
-// RegistrySnapshot); counts/totals are exact per cell but may be
-// skewed across cells by one in-flight batch, except in the `final`
-// snapshot, which is taken after the data plane stopped.
+// MetricsRegistry::Snapshot); counts/totals are exact per cell but
+// may be skewed across cells by one in-flight batch, except in the
+// `final` snapshot, which is taken after the data plane stopped.
 //
 // ## Outputs per tick
 //
@@ -40,10 +40,10 @@
 // ## Shutdown safety (the SIGINT satellite)
 //
 // Each tick polls util::ShutdownRequested(); on the first observation
-// the publisher atomically writes `emergency_metrics_json` — a full,
-// schema-valid cldpc-metrics-v1 document built from the live snapshot
-// (log2 buckets standing in for exact bins) — so a process that dies
-// before Stop() still leaves a valid metrics artifact behind.
+// the publisher atomically writes `emergency_metrics_json` — the live
+// snapshot through the same WriteMetricsJson as the final export
+// (log2-bucket upper bounds standing in for exact bins) — so a process
+// that dies before Stop() still leaves a valid metrics artifact.
 //
 // Determinism: everything this file produces is wall-clock-dependent
 // observation; it never feeds back into decode results, and curves
@@ -65,47 +65,20 @@
 
 namespace cldpc::obs {
 
-/// One published snapshot: cumulative totals plus deltas against the
-/// previous snapshot from the same publisher.
-struct MetricsSnapshot {
-  std::uint64_t seq = 0;        // 1-based
+/// One published snapshot: the registry's live Snapshot() view
+/// (cumulative totals) plus deltas against the previous snapshot from
+/// the same publisher.
+struct MetricsSnapshot : MetricsView {
+  std::uint64_t seq = 0;         // 1-based
   std::uint64_t elapsed_ms = 0;  // since publisher start
   bool final_flush = false;      // true exactly once, on Stop()
-  struct Counter {
-    std::string name;
-    Determinism det;
-    std::uint64_t total = 0;
-    std::uint64_t delta = 0;
-  };
-  struct Hist {
-    std::string name;
-    Determinism det;
-    std::string unit;
-    std::uint64_t count = 0;
-    std::uint64_t delta_count = 0;
-    std::int64_t min = 0;
-    std::int64_t max = 0;
-    double mean = 0.0;
-    std::int64_t p50 = 0;  // log2-bucket upper bound
-    std::int64_t p99 = 0;
-  };
-  struct Gauge {
-    std::string name;
-    double value;
-  };
-  std::vector<Counter> counters;
-  std::vector<Hist> histograms;
-  std::vector<Gauge> gauges;
+  std::vector<std::uint64_t> counter_deltas;     // parallel to counters
+  std::vector<std::uint64_t> hist_count_deltas;  // parallel to histograms
 };
 
 /// Canonical (util::JsonValue) one-line serialization of the
 /// cldpc-metrics-snapshot-v1 schema above.
 std::string SnapshotToJson(const MetricsSnapshot& snapshot);
-
-/// Full cldpc-metrics-v1 document built from a live snapshot: exact
-/// counters/gauges, log2-bucket histogram bins (the emergency-flush
-/// stand-in for the exact post-Stop export).
-std::string MetricsJsonFromLive(const RegistrySnapshot& live);
 
 /// Compact "top"-style terminal rendering of one snapshot (totals,
 /// per-second rates from the deltas, histogram p50/p99).

@@ -426,4 +426,10 @@ JsonValue JsonValue::Parse(std::string_view text) {
   return Parser(text).ParseDocument();
 }
 
+std::string JsonQuote(const std::string& s) {
+  std::string out;
+  AppendEscaped(s, out);
+  return out;
+}
+
 }  // namespace cldpc::util

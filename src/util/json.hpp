@@ -88,4 +88,8 @@ class JsonValue {
   std::map<std::string, JsonValue> object_;  // sorted = canonical order
 };
 
+/// `s` as a quoted JSON string literal, escaped exactly as
+/// Serialize() escapes strings and keys.
+std::string JsonQuote(const std::string& s);
+
 }  // namespace cldpc::util

@@ -9,7 +9,6 @@
 
 #include <cctype>
 #include <cstdint>
-#include <map>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -67,13 +66,13 @@ TEST(MetricsRegistry, MergeIsShardOrderInvariant) {
   fill(a, false);
   MetricsRegistry b;
   fill(b, true);
-  const MergedMetrics ma = a.Merge();
-  const MergedMetrics mb = b.Merge();
+  const MetricsView ma = a.Merge();
+  const MetricsView mb = b.Merge();
   ASSERT_EQ(ma.counters.size(), 1u);
   EXPECT_EQ(ma.counters[0].value, 16u);
   EXPECT_EQ(ma.counters[0].value, mb.counters[0].value);
   ASSERT_EQ(ma.histograms.size(), 1u);
-  EXPECT_EQ(ma.histograms[0].hist.bins(), mb.histograms[0].hist.bins());
+  EXPECT_EQ(ma.histograms[0].bins, mb.histograms[0].bins);
 }
 
 TEST(MetricsRegistry, GrowingShardsPreservesData) {
@@ -186,7 +185,8 @@ TEST(ObsEngine, MetricsDoNotPerturbTheCurve) {
 /// The deterministic (kStable) projection of a merged registry.
 struct StableView {
   std::vector<std::pair<std::string, std::uint64_t>> counters;
-  std::vector<std::pair<std::string, std::map<std::int64_t, std::uint64_t>>>
+  std::vector<std::pair<std::string,
+                        std::vector<std::pair<std::int64_t, std::uint64_t>>>>
       histograms;
 };
 
@@ -198,7 +198,7 @@ StableView Stable(const MetricsRegistry& reg) {
       view.counters.emplace_back(c.name, c.value);
   for (const auto& h : merged.histograms)
     if (h.det == Determinism::kStable)
-      view.histograms.emplace_back(h.name, h.hist.bins());
+      view.histograms.emplace_back(h.name, h.bins);
   return view;
 }
 
@@ -247,8 +247,11 @@ TEST(ObsEngine, CountsMatchTheCurve) {
   // The layered decoder reports syndrome-tracker work.
   EXPECT_GT(counter("decode.syndrome_bit_scans"), 0u);
   // The iterations histogram holds one sample per consumed frame.
-  for (const auto& h : merged.histograms)
-    if (h.name == "decode.iterations") EXPECT_EQ(h.hist.Total(), frames);
+  for (const auto& h : merged.histograms) {
+    if (h.name == "decode.iterations") {
+      EXPECT_EQ(h.count, frames);
+    }
+  }
 }
 
 TEST(ObsEngine, BatchedDecoderReportsLaneOccupancy) {
@@ -369,6 +372,43 @@ class JsonChecker {
   const std::string& s_;
   std::size_t pos_ = 0;
 };
+
+TEST(ObsExport, MetricsJsonBytesArePinned) {
+  // The writer's exact bytes: registration order, the two-space
+  // layout, %.12g doubles, exact bins, and the nondeterministic list
+  // (non-kStable counters and histograms, then every gauge).
+  MetricsRegistry reg;
+  const CounterId frames = reg.Counter("t.frames");
+  const CounterId lanes = reg.Counter("t.lanes", Determinism::kScheduling);
+  const HistogramId iters = reg.Hist("t.iters", Determinism::kStable, "it");
+  reg.SetShardCount(2);
+  reg.shard(0).Add(frames, 7);
+  reg.shard(1).Add(lanes, 3);
+  reg.shard(0).Record(iters, 5);
+  reg.shard(1).Record(iters, 5);
+  reg.shard(1).Record(iters, 9);
+  reg.shard(0).Record(iters, -1);
+  reg.SetGauge("t.rate", 2.5);
+  std::ostringstream os;
+  WriteMetricsJson(reg.Merge(), os);
+  EXPECT_EQ(os.str(),
+            "{\n"
+            "  \"schema\": \"cldpc-metrics-v1\",\n"
+            "  \"counters\": {\n"
+            "    \"t.frames\": 7,\n"
+            "    \"t.lanes\": 3\n"
+            "  },\n"
+            "  \"histograms\": {\n"
+            "    \"t.iters\": {\"unit\": \"it\", \"count\": 4, \"min\": -1, "
+            "\"max\": 9, \"mean\": 4.5, \"p50\": 5, \"p90\": 9, \"p99\": 9, "
+            "\"bins\": [[-1, 1], [5, 2], [9, 1]]}\n"
+            "  },\n"
+            "  \"gauges\": {\n"
+            "    \"t.rate\": 2.5\n"
+            "  },\n"
+            "  \"nondeterministic\": [\"t.lanes\", \"t.rate\"]\n"
+            "}\n");
+}
 
 TEST(ObsExport, MetricsJsonIsWellFormedWithRequiredKeys) {
   MetricsRegistry reg;

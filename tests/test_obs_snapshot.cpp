@@ -17,6 +17,7 @@
 #include <thread>
 #include <vector>
 
+#include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "util/json.hpp"
 #include "util/shutdown.hpp"
@@ -67,7 +68,7 @@ TEST(RegistrySnapshotTest, QuiescentSnapshotEqualsMerge) {
   ASSERT_EQ(live.counters.size(), merged.counters.size());
   EXPECT_EQ(live.counters[0].value, merged.counters[0].value);
   ASSERT_EQ(live.histograms.size(), 1u);
-  const auto exact = merged.histograms[0].hist.Summarize();
+  const auto& exact = merged.histograms[0];
   EXPECT_EQ(live.histograms[0].count, exact.count);
   EXPECT_EQ(live.histograms[0].min, exact.min);
   EXPECT_EQ(live.histograms[0].max, exact.max);
@@ -102,11 +103,15 @@ TEST(RegistrySnapshotTest, ConcurrentSnapshotsSeeConsistentShards) {
   constexpr std::uint64_t kPerWriter = 40000;
   reg.SetShardCount(kWriters);
 
-  std::atomic<bool> go{false}, done{false};
+  // The writers are held until the reader has taken its first
+  // snapshot: on a busy or single CPU the reader thread could
+  // otherwise start only after every writer finished, and no snapshot
+  // would overlap the writes at all.
+  std::atomic<bool> reading{false}, done{false};
   std::vector<std::thread> writers;
   for (std::size_t w = 0; w < kWriters; ++w) {
     writers.emplace_back([&, w] {
-      while (!go.load()) {}
+      while (!reading.load()) std::this_thread::yield();
       Shard& shard = reg.shard(w);
       for (std::uint64_t i = 0; i < kPerWriter; ++i) {
         shard.Add(c, 1);
@@ -120,6 +125,7 @@ TEST(RegistrySnapshotTest, ConcurrentSnapshotsSeeConsistentShards) {
     while (!done.load()) {
       const auto snap = reg.Snapshot();
       ++snapshots;
+      reading.store(true);
       // Counters only ever grow.
       ASSERT_GE(snap.counters[0].value, prev_count);
       prev_count = snap.counters[0].value;
@@ -135,7 +141,6 @@ TEST(RegistrySnapshotTest, ConcurrentSnapshotsSeeConsistentShards) {
     }
   });
 
-  go.store(true);
   for (auto& t : writers) t.join();
   done.store(true);
   reader.join();
@@ -145,8 +150,7 @@ TEST(RegistrySnapshotTest, ConcurrentSnapshotsSeeConsistentShards) {
   const auto final_snap = reg.Snapshot();
   EXPECT_EQ(final_snap.counters[0].value, kWriters * kPerWriter);
   EXPECT_EQ(final_snap.histograms[0].count, kWriters * kPerWriter);
-  EXPECT_EQ(reg.Merge().histograms[0].hist.Summarize().count,
-            kWriters * kPerWriter);
+  EXPECT_EQ(reg.Merge().histograms[0].count, kWriters * kPerWriter);
 }
 
 // --- SnapshotPublisher ----------------------------------------------
@@ -171,13 +175,13 @@ TEST(SnapshotPublisherTest, DeltasTelescopeToFinalTotal) {
   std::uint64_t seq = 0, delta_sum = 0;
   for (const auto& snap : history) {
     EXPECT_EQ(snap.seq, ++seq);
-    delta_sum += snap.counters[0].delta;
+    delta_sum += snap.counter_deltas[0];
     EXPECT_EQ(snap.final_flush, &snap == &history.back());
   }
   // The identity the external validator enforces, in-process: deltas
   // telescope to the exact final total.
   EXPECT_EQ(delta_sum, 40u * 7u);
-  EXPECT_EQ(history.back().counters[0].total, 40u * 7u);
+  EXPECT_EQ(history.back().counters[0].value, 40u * 7u);
 }
 
 TEST(SnapshotPublisherTest, PreSnapshotHookRunsBeforeEveryBuild) {
@@ -195,7 +199,7 @@ TEST(SnapshotPublisherTest, PreSnapshotHookRunsBeforeEveryBuild) {
   std::this_thread::sleep_for(std::chrono::milliseconds(30));
   publisher.Stop();
   EXPECT_GE(syncs.load(), 2u);
-  EXPECT_EQ(publisher.History().back().counters[0].total, syncs.load());
+  EXPECT_EQ(publisher.History().back().counters[0].value, syncs.load());
 }
 
 TEST(SnapshotPublisherTest, WritesLatestAndHistoryFiles) {
@@ -292,6 +296,61 @@ TEST(SnapshotPublisherTest, EmergencyFlushOnShutdownRequest) {
   for (const auto& bin : doc.At("histograms").At("t.lat").At("bins").AsArray())
     bin_sum += bin.AsArray()[1].AsUint();
   EXPECT_EQ(bin_sum, 2u);
+  std::remove(options.emergency_metrics_json.c_str());
+}
+
+TEST(SnapshotPublisherTest, QuiescentEmergencyDocMatchesFinalExport) {
+  // Both documents come from the one cldpc-metrics-v1 writer: after
+  // quiescence the live view behind the emergency flush must agree
+  // with the exact export on everything the log2 buckets do not
+  // approximate.
+  MetricsRegistry reg;
+  const CounterId frames = reg.Counter("t.frames");
+  const CounterId lanes = reg.Counter("t.lanes", Determinism::kScheduling);
+  const HistogramId h = reg.Hist("t.lat", Determinism::kWallClock, "us");
+  const HistogramId iters = reg.Hist("t.iters", Determinism::kStable, "it");
+  reg.SetShardCount(2);
+  for (std::size_t s = 0; s < 2; ++s) {
+    reg.shard(s).Add(frames, 10 + s);
+    reg.shard(s).Add(lanes, 3);
+    for (std::int64_t v : {0, 7, 7, 100, 3000})
+      reg.shard(s).Record(h, v + static_cast<std::int64_t>(s));
+    reg.shard(s).Record(iters, 12, 4);
+  }
+  reg.SetGauge("t.rate", 123.25);
+
+  SnapshotOptions options;
+  options.interval = std::chrono::hours(1);
+  options.emergency_metrics_json = TempPath("snap_emergency_vs_final.json");
+  SnapshotPublisher publisher(reg, options);
+  util::RequestShutdownForTest(true);
+  publisher.PublishNow(false);
+  util::RequestShutdownForTest(false);
+
+  std::ifstream in(options.emergency_metrics_json);
+  ASSERT_TRUE(in.good());
+  std::stringstream text;
+  text << in.rdbuf();
+  const auto emergency = util::JsonValue::Parse(text.str());
+  std::ostringstream final_text;
+  WriteMetricsJson(reg.Merge(), final_text);
+  const auto exact = util::JsonValue::Parse(final_text.str());
+
+  for (const char* section :
+       {"schema", "counters", "gauges", "nondeterministic"}) {
+    EXPECT_EQ(emergency.At(section).Serialize(), exact.At(section).Serialize())
+        << section;
+  }
+  const auto& live_hists = emergency.At("histograms").AsObject();
+  const auto& exact_hists = exact.At("histograms").AsObject();
+  ASSERT_EQ(live_hists.size(), exact_hists.size());
+  for (const auto& [name, hist] : exact_hists) {
+    for (const char* field : {"count", "min", "max"}) {
+      EXPECT_EQ(live_hists.at(name).At(field).Serialize(),
+                hist.At(field).Serialize())
+          << name << "." << field;
+    }
+  }
   std::remove(options.emergency_metrics_json.c_str());
 }
 
