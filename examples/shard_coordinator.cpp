@@ -278,8 +278,6 @@ int RunMain(int argc, char** argv) {
       std::printf("Merged curve written to %s (diff against "
                   "--reference --curve-out)\n", curve_out.c_str());
     }
-    if (options.metrics != nullptr)
-      dist::MergedCountersToRegistry(report.merged, *options.metrics);
   }
   obs_session.Export();
 

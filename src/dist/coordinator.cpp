@@ -486,6 +486,10 @@ CoordinatorReport RunCoordinator(const std::vector<WorkUnit>& units,
     results.reserve(shards.size());
     for (auto& st : shards) results.push_back(std::move(st.result));
     report.merged = MergeShardResults(results);
+    // The merged engine.* counters join the registry before the final
+    // snapshot below, so that snapshot and the final export agree.
+    if (options.metrics != nullptr)
+      MergedCountersToRegistry(report.merged, *options.metrics);
   }
 
   publish_ledger_gauges(/*final_totals=*/true);

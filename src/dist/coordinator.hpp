@@ -93,7 +93,9 @@ struct CoordinatorOptions {
   /// kills its own process.
   ShardFaultPlan faults;
   /// Coordinator-side bookkeeping metrics (borrowed): shard.*
-  /// counters and the accounting gauges.
+  /// counters and the accounting gauges, plus — once every shard has
+  /// merged — the merged kStable engine.* counters
+  /// (MergedCountersToRegistry).
   obs::MetricsRegistry* metrics = nullptr;
   /// Live snapshots (borrowed; null = off). With metrics set too, the
   /// coordinator publishes a snapshot every `interval` with the

@@ -1,13 +1,18 @@
 // Parallel Monte-Carlo BER/PER simulation engine.
 //
 // SimEngine shards each Eb/N0 point of a sweep into fixed-size frame
-// batches, decodes batches on a ThreadPool (one cloned decoder per
-// worker, see DecoderPool), and aggregates per-frame results on the
-// calling thread in frame-index order. Each batch goes through the
-// decoder's DecodeBatch entry point, so a batched SIMD decoder (spec
-// param batch=N) gets whole lane groups at a time — in the sequential
-// path too, which decodes batch_frames per call like one parallel
-// worker would.
+// batches and streams them through one decoder per worker (cloned
+// from a factory, see DecoderPool). Each worker runs one
+// Decoder::DecodeStream per point over a feed that claims batches,
+// stages their channel output, and scores every frame against its
+// codeword as soon as the decoder delivers it. A lane-batched SIMD
+// decoder (spec param batch=N) therefore keeps its lane group full
+// across batch boundaries, reloading each lane whose frame finished
+// with the next frame; scalar decoders take a batch per DecodeBatch
+// call. Completed batches are committed to the point's totals in
+// frame-index order. One run loop serves every entry point: the
+// calling thread is worker 0 and a ThreadPool runs the others, so a
+// single-threaded run is the same loop with no pool.
 //
 // ## Determinism contract
 //
@@ -21,7 +26,9 @@
 //     tests/test_rng.cpp). A frame's result is therefore independent
 //     of which worker decodes it and of every other frame.
 //  2. Aggregation consumes frame results strictly in frame-index
-//     order (batch 0 first, frames in order inside each batch), so
+//     order (batch 0 first, frames in order inside each batch; a
+//     batch is committed by whichever worker completes the batch the
+//     point waits for, one committer at a time), so
 //     RateEstimator totals and the integer iteration sum see the
 //     exact sequence the sequential runner produces. (All per-point
 //     totals are exact integers — see BerPoint::iterations_total —
@@ -31,39 +38,45 @@
 //     derivation in (1): a run over an absolute frame range or point
 //     subset produces exactly the corresponding slice of the full
 //     run.
-//  3. Early stopping is decided only by the in-order aggregator: a
+//  3. Early stopping is decided only by the in-order commit: a
 //     point ends with the first frame whose cumulative frame-error
 //     count reaches min_frame_errors (that frame included), exactly
 //     like the sequential runner. Workers race ahead speculatively;
 //     results past the stop frame are discarded, and a bounded
 //     speculation window plus a cooperative stop flag keep the waste
 //     under ~4 * threads * batch_frames frames (the window is 4
-//     batches per worker, see RunParallel).
+//     batches per worker, see RunStreams). Early-stop and cancel
+//     decisions are taken between whole batches, and frames still in
+//     a decoder's lanes when the point is decided are dropped.
 //  4. A worker exception surfaces only if the point did not complete
-//     first, and the lowest-frame-index failure is the one rethrown —
+//     first, and the lowest-batch failure is the one rethrown (a
+//     failing stream is charged to the lowest batch it still held) —
 //     so even error behavior is a function of frame content, not of
 //     scheduling.
 //
 // Consequences: for a fixed seed the BerCurve is byte-identical across
 // thread counts, across batch sizes, and to sim::BerRunner's
 // sequential output — only wall-clock time changes. The FrameCallback
-// also fires in sequential order with identical arguments.
+// also fires in sequential order with identical arguments, one call
+// at a time, from whichever thread commits the frame's batch.
 // ## Telemetry (obs/) and the contract
 //
 // With BerConfig::metrics set, the engine records decode telemetry
 // through per-worker metric shards (worker w owns shard w; the
-// in-order aggregator owns one extra shard). Aggregator-side facts —
+// in-order commit owns one extra shard). Commit-side facts —
 // consumed frames, errors, convergence, the iterations-to-converge
 // histogram — see exactly the sequential frame stream, so their
 // merged totals are thread-count-invariant (Determinism::kStable).
-// Worker-side facts (batch timers, lane occupancy, frames decoded
-// including discarded speculation) legitimately vary and are tagged
-// so. Metrics never feed back into decoding: the BerCurve stays
+// Worker-side facts (batch timers, lane occupancy and utilisation,
+// frames decoded including discarded speculation) legitimately vary
+// and are tagged so. Metrics never feed back into decoding: the BerCurve stays
 // byte-identical with metrics on, off, or traced.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -89,13 +102,13 @@ class SimEngine {
   ~SimEngine();
 
   /// Run the sweep with config().threads workers, each owning a
-  /// decoder cloned from `factory`. This is the parallel entry point.
+  /// decoder cloned from `factory`.
   sim::BerCurve Run(const DecoderFactory& factory,
                     const sim::FrameCallback& on_frame = {});
 
   /// Run the sweep on the calling thread with a borrowed decoder
-  /// (ignores options().threads — a shared instance is not
-  /// thread-safe). Bit-identical to the parallel entry point.
+  /// (ignores config().threads — a shared instance is not
+  /// thread-safe). Bit-identical to the factory entry point.
   sim::BerCurve Run(ldpc::Decoder& decoder,
                     const sim::FrameCallback& on_frame = {});
 
@@ -116,13 +129,17 @@ class SimEngine {
   /// Registered metric ids + registry pointer; non-null exactly when
   /// config.metrics is set (definition local to sim_engine.cpp).
   struct MetricsHook;
+  /// One point's batch dispatch and in-order commit, shared by its
+  /// workers.
+  struct PointState;
+  /// One worker's FrameFeed over a point's batches.
+  class BatchFeed;
 
-  /// Reusable per-worker staging buffers for SimulateBatch's channel
-  /// frontend: the buffers grow to the batch size on the first batch
-  /// and are reused for every batch after, so seeding, info bits,
-  /// encode and channel staging perform zero heap allocations in
-  /// steady state (the decoder's own result vectors are the only remaining
-  /// per-batch allocations).
+  /// Reusable per-worker buffers for the channel frontend and the
+  /// frames in flight: they grow to their steady-state size during
+  /// the first batches and are reused after, so seeding, info bits,
+  /// encode, channel staging and the compare perform zero heap
+  /// allocations in steady state.
   struct FrameScratch {
     std::vector<std::uint64_t> data_seeds;   // count
     std::vector<std::uint64_t> noise_seeds;  // count
@@ -131,33 +148,38 @@ class SimEngine {
     std::vector<double> symbols;  // n, the scalar tier's BPSK staging
     std::vector<double> llrs;                // count * n, frame-major
     gf2::BitVec parity;                      // encoder scratch
+    /// Codewords of the frames handed to the decoder and not yet
+    /// compared, one n-byte slot per frame in flight: at most a lane
+    /// group, or one batch for decoders that take whole chunks.
+    std::vector<std::uint8_t> slots;
+    std::vector<std::size_t> free_slots;
   };
 
-  /// Decode frames [first, first+count) of point `snr_index`,
-  /// staging the channel through `scratch` (exclusive to the calling
-  /// worker).
-  /// `metrics_shard` is the calling worker's metric shard (null when
-  /// metrics are disabled): batch timing/trace spans and the
-  /// thread-local decoder sink are scoped to this call.
-  std::vector<FrameResult> SimulateBatch(ldpc::Decoder& decoder,
-                                         std::size_t snr_index,
-                                         std::uint64_t first_frame,
-                                         std::uint64_t count, double sigma,
-                                         FrameScratch& scratch,
-                                         obs::Shard* metrics_shard) const;
+  /// Stage frames [first, first+count) of point `snr_index` in
+  /// `scratch`: their codewords and channel LLRs. `metrics_shard` is
+  /// the calling worker's shard (null when metrics are disabled).
+  void StageBatch(std::size_t snr_index, std::uint64_t first_frame,
+                  std::uint64_t count, double sigma, FrameScratch& scratch,
+                  obs::Shard* metrics_shard) const;
+
+  /// A decoded frame scored against the codeword it was sent as.
+  FrameResult Compare(const ldpc::DecodeResult& decoded,
+                      const std::uint8_t* sent) const;
 
   /// Cooperative cancellation (BerConfig::cancel): polled at batch
-  /// and point boundaries by both run paths.
+  /// and point boundaries.
   bool Cancelled() const {
     return config_.cancel != nullptr &&
            config_.cancel->load(std::memory_order_acquire);
   }
 
-  sim::BerCurve RunSequential(ldpc::Decoder& decoder,
-                              const sim::FrameCallback& on_frame);
-  sim::BerCurve RunParallel(const DecoderFactory& factory,
-                            std::size_t threads,
-                            const sim::FrameCallback& on_frame);
+  /// The run loop behind both entry points: `threads` workers (the
+  /// calling thread is worker 0), each streaming a point's batches
+  /// through decoder_for(worker).
+  sim::BerCurve RunStreams(
+      const std::function<ldpc::Decoder&(std::size_t)>& decoder_for,
+      std::string decoder_name, std::size_t threads,
+      const sim::FrameCallback& on_frame);
 
   const ldpc::LdpcCode& code_;
   const ldpc::Encoder& encoder_;

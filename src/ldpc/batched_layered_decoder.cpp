@@ -1,9 +1,9 @@
 // Thin dispatch shims: each decoder validates its configuration,
-// owns the lane-group buffers, and hands a LaneArgs bundle to the
-// runtime-selected kernel table (core/dispatch.hpp). The lane-group
-// engine itself lives in batched_lane_impl.inc, compiled once per ISA
-// by the batched_lanes_*.cpp TUs — this TU stays baseline-ISA and
-// does everything the ISA TUs must not (std::vector sizing, string
+// owns the lane buffers, and hands a LaneArgs bundle to the
+// runtime-selected kernel table (core/dispatch.hpp). The lane engine
+// itself lives in batched_lane_impl.inc, compiled once per ISA by the
+// batched_lanes_*.cpp TUs — this TU stays baseline-ISA and does
+// everything the ISA TUs must not (std::vector sizing, string
 // formatting), see LaneDecodeCommon.
 #include "ldpc/batched_layered_decoder.hpp"
 
@@ -28,49 +28,85 @@ std::size_t ValidatedLanes(std::size_t max_lanes) {
   return max_lanes;
 }
 
-/// The pre-sized result block the kernels write into (the
-/// LaneDecodeCommon contract: all vector growth happens here, in a
-/// baseline-ISA TU).
-std::vector<DecodeResult> PreparedResults(std::size_t num_frames,
-                                          std::size_t n) {
+/// The feed DecodeBatch streams: hands out the span's frames and
+/// stores each result at its frame's index.
+class SpanFeed final : public FrameFeed {
+ public:
+  SpanFeed(std::span<const double> llrs, std::size_t n,
+           std::vector<DecodeResult>& results)
+      : llrs_(llrs), n_(n), results_(results) {}
+
+  FrameChunk Pull(std::size_t max_frames, bool) override {
+    const std::size_t count = std::min(max_frames, results_.size() - next_);
+    const FrameChunk chunk{llrs_.subspan(next_ * n_, count * n_), count};
+    next_ += count;
+    return chunk;
+  }
+
+  bool Deliver(std::uint64_t seq, const DecodeResult& result) override {
+    results_[seq] = result;
+    return true;
+  }
+
+  std::uint64_t Remaining() const override {
+    return results_.size() - next_;
+  }
+
+ private:
+  std::span<const double> llrs_;
+  std::size_t n_;
+  std::vector<DecodeResult>& results_;
+  std::size_t next_ = 0;
+};
+
+}  // namespace
+
+// ---- BatchedLaneDecoder (shared stream plumbing) -------------------
+
+BatchedLaneDecoder::BatchedLaneDecoder(const LdpcCode& code,
+                                       std::size_t max_lanes)
+    : code_(code),
+      max_lanes_(ValidatedLanes(max_lanes)),
+      hard_(code.graph().num_bits()),
+      syndrome_(code.schedule()) {
+  result_.bits.resize(code.graph().num_bits());
+}
+
+DecodeResult BatchedLaneDecoder::Decode(std::span<const double> llr) {
+  auto results = DecodeBatch(llr, 1);
+  return std::move(results.front());
+}
+
+std::vector<DecodeResult> BatchedLaneDecoder::DecodeBatch(
+    std::span<const double> llrs, std::size_t num_frames) {
+  const std::size_t n = code_.graph().num_bits();
+  CLDPC_EXPECTS(num_frames > 0, "need at least one frame");
+  CLDPC_EXPECTS(llrs.size() == num_frames * n,
+                "LLR block must be num_frames frames of length n");
   std::vector<DecodeResult> results(num_frames);
-  for (auto& r : results) r.bits.resize(n);
+  SpanFeed feed(llrs, n, results);
+  DecodeStream(feed);
   return results;
 }
 
-core::LaneDecodeCommon MakeCommon(const LdpcCode& code,
-                                  const IterOptions& iter,
-                                  std::span<const double> llrs,
-                                  std::size_t num_frames,
-                                  std::size_t max_lanes,
-                                  std::uint32_t* hard_mask,
-                                  core::BatchSyndromeTracker* syndrome,
-                                  DecodeResult* results) {
-  CLDPC_EXPECTS(llrs.size() == num_frames * code.graph().num_bits(),
-                "LLR block must be num_frames frames of length n");
-  core::LaneDecodeCommon c;
-  c.code = &code;
+void BatchedLaneDecoder::FillCommon(core::LaneDecodeCommon& c,
+                                    FrameFeed& feed,
+                                    const IterOptions& iter) {
+  c.code = &code_;
   c.iter = iter;
-  c.llrs = llrs.data();
-  c.num_frames = num_frames;
-  c.max_lanes = max_lanes;
-  c.hard_mask = hard_mask;
-  c.syndrome = syndrome;
-  c.results = results;
-  return c;
+  c.feed = &feed;
+  c.max_lanes = max_lanes_;
+  c.hard_mask = hard_.data();
+  c.syndrome = &syndrome_;
+  c.result = &result_;
 }
-
-}  // namespace
 
 // ---- BatchedLayeredDecoder (double lanes) --------------------------
 
 BatchedLayeredDecoder::BatchedLayeredDecoder(const LdpcCode& code,
                                              MinSumOptions options,
                                              std::size_t max_lanes)
-    : code_(code),
-      options_(options),
-      max_lanes_(ValidatedLanes(max_lanes)),
-      syndrome_(code.schedule()) {
+    : BatchedLaneDecoder(code, max_lanes), options_(options) {
   CLDPC_EXPECTS(options_.iter.max_iterations > 0, "need >= 1 iteration");
   CLDPC_EXPECTS(options_.alpha >= 1.0, "alpha must be >= 1");
   rule_ = MinSumCheckRule(options_);
@@ -78,30 +114,20 @@ BatchedLayeredDecoder::BatchedLayeredDecoder(const LdpcCode& code,
   app_.resize(code_.graph().num_bits() * w);
   extr_.resize(code_.schedule().max_check_degree() * w);
   msgs_.Resize(code_.graph().num_checks(), w);
-  hard_.resize(code_.graph().num_bits());
 }
 
 std::string BatchedLayeredDecoder::Name() const {
   return "layered-" + MinSumFamilyName(options_);
 }
 
-DecodeResult BatchedLayeredDecoder::Decode(std::span<const double> llr) {
-  auto results = DecodeBatch(llr, 1);
-  return std::move(results.front());
-}
-
-std::vector<DecodeResult> BatchedLayeredDecoder::DecodeBatch(
-    std::span<const double> llrs, std::size_t num_frames) {
-  auto results = PreparedResults(num_frames, code_.graph().num_bits());
+void BatchedLayeredDecoder::DecodeStream(FrameFeed& feed) {
   core::LaneArgsDouble a;
-  a.common = MakeCommon(code_, options_.iter, llrs, num_frames, max_lanes_,
-                        hard_.data(), &syndrome_, results.data());
+  FillCommon(a.common, feed, options_.iter);
   a.rule = rule_;
   a.app = app_.data();
   a.store = &msgs_;
   a.extr = extr_.data();
   core::ActiveLaneKernels().decode_double(a);
-  return results;
 }
 
 // ---- BatchedLayeredDecoderF32 (float lanes) ------------------------
@@ -109,10 +135,7 @@ std::vector<DecodeResult> BatchedLayeredDecoder::DecodeBatch(
 BatchedLayeredDecoderF32::BatchedLayeredDecoderF32(const LdpcCode& code,
                                                    MinSumOptions options,
                                                    std::size_t max_lanes)
-    : code_(code),
-      options_(options),
-      max_lanes_(ValidatedLanes(max_lanes)),
-      syndrome_(code.schedule()) {
+    : BatchedLaneDecoder(code, max_lanes), options_(options) {
   CLDPC_EXPECTS(options_.iter.max_iterations > 0, "need >= 1 iteration");
   CLDPC_EXPECTS(options_.alpha >= 1.0, "alpha must be >= 1");
   rule_ = F32Rule(options_);
@@ -120,42 +143,30 @@ BatchedLayeredDecoderF32::BatchedLayeredDecoderF32(const LdpcCode& code,
   app_.resize(code_.graph().num_bits() * w);
   extr_.resize(code_.schedule().max_check_degree() * w);
   msgs_.Resize(code_.graph().num_checks(), w);
-  hard_.resize(code_.graph().num_bits());
 }
 
 std::string BatchedLayeredDecoderF32::Name() const {
   return "layered-f32-" + MinSumFamilyName(options_);
 }
 
-DecodeResult BatchedLayeredDecoderF32::Decode(std::span<const double> llr) {
-  auto results = DecodeBatch(llr, 1);
-  return std::move(results.front());
-}
-
-std::vector<DecodeResult> BatchedLayeredDecoderF32::DecodeBatch(
-    std::span<const double> llrs, std::size_t num_frames) {
-  auto results = PreparedResults(num_frames, code_.graph().num_bits());
+void BatchedLayeredDecoderF32::DecodeStream(FrameFeed& feed) {
   core::LaneArgsF32 a;
-  a.common = MakeCommon(code_, options_.iter, llrs, num_frames, max_lanes_,
-                        hard_.data(), &syndrome_, results.data());
+  FillCommon(a.common, feed, options_.iter);
   a.rule = rule_;
   a.app = app_.data();
   a.store = &msgs_;
   a.extr = extr_.data();
   core::ActiveLaneKernels().decode_f32(a);
-  return results;
 }
 
 // ---- BatchedFixedLayeredDecoder (fixed-point lanes) ----------------
 
 BatchedFixedLayeredDecoder::BatchedFixedLayeredDecoder(
     const LdpcCode& code, FixedMinSumOptions options, std::size_t max_lanes)
-    : code_(code),
+    : BatchedLaneDecoder(code, max_lanes),
       options_(options),
       quantizer_(options.datapath.channel_bits,
-                 options.datapath.channel_scale),
-      max_lanes_(ValidatedLanes(max_lanes)),
-      syndrome_(code.schedule()) {
+                 options.datapath.channel_scale) {
   CLDPC_EXPECTS(options_.iter.max_iterations > 0, "need >= 1 iteration");
   CLDPC_EXPECTS(options_.datapath.message_bits >= 2 &&
                     options_.datapath.message_bits <= 16,
@@ -167,7 +178,6 @@ BatchedFixedLayeredDecoder::BatchedFixedLayeredDecoder(
   extr_.resize(code_.schedule().max_check_degree() * w);
   bc_.resize(code_.schedule().max_check_degree() * w);
   msgs_.Resize(code_.graph().num_checks(), w);
-  hard_.resize(code_.graph().num_bits());
 }
 
 std::string BatchedFixedLayeredDecoder::Name() const {
@@ -176,17 +186,9 @@ std::string BatchedFixedLayeredDecoder::Name() const {
   return os.str();
 }
 
-DecodeResult BatchedFixedLayeredDecoder::Decode(std::span<const double> llr) {
-  auto results = DecodeBatch(llr, 1);
-  return std::move(results.front());
-}
-
-std::vector<DecodeResult> BatchedFixedLayeredDecoder::DecodeBatch(
-    std::span<const double> llrs, std::size_t num_frames) {
-  auto results = PreparedResults(num_frames, code_.graph().num_bits());
+void BatchedFixedLayeredDecoder::DecodeStream(FrameFeed& feed) {
   core::LaneArgsFixed a;
-  a.common = MakeCommon(code_, options_.iter, llrs, num_frames, max_lanes_,
-                        hard_.data(), &syndrome_, results.data());
+  FillCommon(a.common, feed, options_.iter);
   a.norm = options_.datapath.normalization;
   a.quantizer = &quantizer_;
   a.message_bits = options_.datapath.message_bits;
@@ -196,19 +198,16 @@ std::vector<DecodeResult> BatchedFixedLayeredDecoder::DecodeBatch(
   a.extr = extr_.data();
   a.bc = bc_.data();
   core::ActiveLaneKernels().decode_fixed(a);
-  return results;
 }
 
 // ---- BatchedFixedI8LayeredDecoder (int8 lanes) ---------------------
 
 BatchedFixedI8LayeredDecoder::BatchedFixedI8LayeredDecoder(
     const LdpcCode& code, FixedMinSumOptions options, std::size_t max_lanes)
-    : code_(code),
+    : BatchedLaneDecoder(code, max_lanes),
       options_(options),
       quantizer_(options.datapath.channel_bits,
-                 options.datapath.channel_scale),
-      max_lanes_(ValidatedLanes(max_lanes)),
-      syndrome_(code.schedule()) {
+                 options.datapath.channel_scale) {
   CLDPC_EXPECTS(options_.iter.max_iterations > 0, "need >= 1 iteration");
   // The FixedI8Datapath width contract (batch_kernel.hpp): int8
   // messages, int16 APP arithmetic with headroom, normalization that
@@ -234,7 +233,6 @@ BatchedFixedI8LayeredDecoder::BatchedFixedI8LayeredDecoder(
   extr_.resize(code_.schedule().max_check_degree() * w);
   bc_.resize(code_.schedule().max_check_degree() * w);
   msgs_.Resize(code_.graph().num_checks(), w);
-  hard_.resize(code_.graph().num_bits());
 }
 
 std::string BatchedFixedI8LayeredDecoder::Name() const {
@@ -243,18 +241,9 @@ std::string BatchedFixedI8LayeredDecoder::Name() const {
   return os.str();
 }
 
-DecodeResult BatchedFixedI8LayeredDecoder::Decode(
-    std::span<const double> llr) {
-  auto results = DecodeBatch(llr, 1);
-  return std::move(results.front());
-}
-
-std::vector<DecodeResult> BatchedFixedI8LayeredDecoder::DecodeBatch(
-    std::span<const double> llrs, std::size_t num_frames) {
-  auto results = PreparedResults(num_frames, code_.graph().num_bits());
+void BatchedFixedI8LayeredDecoder::DecodeStream(FrameFeed& feed) {
   core::LaneArgsI8 a;
-  a.common = MakeCommon(code_, options_.iter, llrs, num_frames, max_lanes_,
-                        hard_.data(), &syndrome_, results.data());
+  FillCommon(a.common, feed, options_.iter);
   a.norm = options_.datapath.normalization;
   a.quantizer = &quantizer_;
   a.message_bits = options_.datapath.message_bits;
@@ -277,7 +266,6 @@ std::vector<DecodeResult> BatchedFixedI8LayeredDecoder::DecodeBatch(
     sink->shard->Add(sink->ids.msg_clamp_events, msg_clamps);
     sink->shard->Add(sink->ids.bn_sat_events, bn_saturations);
   }
-  return results;
 }
 
 }  // namespace cldpc::ldpc

@@ -26,19 +26,22 @@
 //                                  decoders (`fixed-layered-nms-i8`),
 //                                  at 4x their lane density.
 //
-// Frames are processed in lane groups of up to 16 (the i8 datapath:
-// 32) — compile-time widths 32/16/8/4/2/1, largest fitting group
-// first; per-lane results are independent of the grouping, so any
-// DecodeBatch size — including 1, which is what Decode uses —
-// reproduces the same outputs. Early termination is tracked per lane
-// with the incremental BatchSyndromeTracker: a converged lane's
-// result is captured at its convergence iteration and the lane drops
-// out of the convergence bookkeeping (its SIMD lane keeps carrying
-// values — that costs nothing); the group stops as soon as every lane
-// has finished.
+// Frames stream through one standing lane group of up to 16 lanes
+// (the i8 datapath: 32) — compile-time widths 32/16/8/4/2/1, the
+// widest that fits both the lane cap and the frames the stream can
+// still deliver. Each lane carries its own frame and iteration count:
+// early termination is tracked per lane with the incremental
+// BatchSyndromeTracker, and at every iteration boundary a lane whose
+// frame finished (converged, or out of iterations) is delivered and
+// reloaded with the next pending frame, so the group pays for the
+// iterations its frames run rather than for its slowest lane.
+// Per-lane results are independent of the grouping and of the other
+// frames sharing the group, so any DecodeBatch size — including 1,
+// which is what Decode uses — and any DecodeStream feed reproduce the
+// same outputs. DecodeBatch is the stream over one fixed span.
 //
-// The lane-group engine itself is compiled once per ISA and selected
-// at runtime (core/dispatch.hpp): DecodeBatch packs the decoder's
+// The lane engine itself is compiled once per ISA and selected at
+// runtime (core/dispatch.hpp): DecodeStream packs the decoder's
 // buffers into a LaneArgs struct and calls through the active
 // LaneKernelTable. Every table computes bit-identical results, so the
 // selection only moves throughput.
@@ -53,92 +56,102 @@
 
 namespace cldpc::ldpc {
 
-/// Largest lane-group width the batched decoders instantiate; larger
-/// batch requests are processed as multiple groups.
+/// Largest lane-group width the batched decoders instantiate; a
+/// larger lane cap runs a group this wide.
 inline constexpr std::size_t kMaxLaneGroup = 16;
 
 /// The i8 datapath's widest lane group: int8 lanes are 4x denser per
-/// SIMD register, so its ladder gets a 32-wide rung (the packed
-/// uint32 lane masks cap any further widening).
+/// SIMD register, so it gets a 32-wide group (the packed uint32 lane
+/// masks cap any further widening).
 inline constexpr std::size_t kMaxLaneGroupI8 = 32;
 
-class BatchedLayeredDecoder final : public Decoder {
- public:
-  /// The code must outlive the decoder. `max_lanes` (in [1, 32]) caps
-  /// the frames decoded in lockstep per lane group.
-  BatchedLayeredDecoder(const LdpcCode& code, MinSumOptions options,
-                        std::size_t max_lanes);
+namespace core {
+struct LaneDecodeCommon;
+}
 
+/// The stream plumbing the four lane-batched decoders share: Decode
+/// and DecodeBatch are streams over one fixed span, and each
+/// datapath's DecodeStream hands its lane buffers to the kernels.
+class BatchedLaneDecoder : public Decoder {
+ public:
   DecodeResult Decode(std::span<const double> llr) override;
   std::vector<DecodeResult> DecodeBatch(std::span<const double> llrs,
                                         std::size_t num_frames) override;
+
+  std::size_t max_lanes() const { return max_lanes_; }
+
+ protected:
+  /// The code must outlive the decoder. `max_lanes` (in [1, 32]) caps
+  /// the frames decoded in lockstep.
+  BatchedLaneDecoder(const LdpcCode& code, std::size_t max_lanes);
+
+  /// The kernel arguments every datapath shares, for one stream.
+  void FillCommon(core::LaneDecodeCommon& c, FrameFeed& feed,
+                  const IterOptions& iter);
+
+  const LdpcCode& code_;
+  const std::size_t max_lanes_;
+
+ private:
+  std::vector<std::uint32_t> hard_;  // packed per-bit lane sign masks
+  core::BatchSyndromeTracker syndrome_;
+  DecodeResult result_;  // each finished frame's capture, bits sized n
+};
+
+class BatchedLayeredDecoder final : public BatchedLaneDecoder {
+ public:
+  BatchedLayeredDecoder(const LdpcCode& code, MinSumOptions options,
+                        std::size_t max_lanes);
+
+  void DecodeStream(FrameFeed& feed) override;
   /// Same name as the scalar layered decoder: the outputs are
   /// byte-identical, only the throughput differs.
   std::string Name() const override;
 
   const MinSumOptions& options() const { return options_; }
-  std::size_t max_lanes() const { return max_lanes_; }
 
  private:
-  const LdpcCode& code_;
   MinSumOptions options_;
   core::FloatCheckRule rule_;
-  std::size_t max_lanes_;
   // Lane-group state, sized once for the widest group (satellite of
   // the scratch-hoisting rule: no per-decode allocation). msgs_ is
   // the compressed per-check extrinsic memory.
   std::vector<double> app_, extr_;
   core::CompressedCnLanes<core::FloatDatapath> msgs_;
-  std::vector<std::uint32_t> hard_;  // packed per-bit lane sign masks
-  core::BatchSyndromeTracker syndrome_;
 };
 
-class BatchedLayeredDecoderF32 final : public Decoder {
+class BatchedLayeredDecoderF32 final : public BatchedLaneDecoder {
  public:
   BatchedLayeredDecoderF32(const LdpcCode& code, MinSumOptions options,
                            std::size_t max_lanes);
 
-  DecodeResult Decode(std::span<const double> llr) override;
-  std::vector<DecodeResult> DecodeBatch(std::span<const double> llrs,
-                                        std::size_t num_frames) override;
+  void DecodeStream(FrameFeed& feed) override;
   std::string Name() const override;
 
   const MinSumOptions& options() const { return options_; }
-  std::size_t max_lanes() const { return max_lanes_; }
 
  private:
-  const LdpcCode& code_;
   MinSumOptions options_;
   core::Float32CheckRule rule_;
-  std::size_t max_lanes_;
   std::vector<float> app_, extr_;
   core::CompressedCnLanes<core::Float32Datapath> msgs_;
-  std::vector<std::uint32_t> hard_;
-  core::BatchSyndromeTracker syndrome_;
 };
 
-class BatchedFixedLayeredDecoder final : public Decoder {
+class BatchedFixedLayeredDecoder final : public BatchedLaneDecoder {
  public:
   BatchedFixedLayeredDecoder(const LdpcCode& code, FixedMinSumOptions options,
                              std::size_t max_lanes);
 
-  DecodeResult Decode(std::span<const double> llr) override;
-  std::vector<DecodeResult> DecodeBatch(std::span<const double> llrs,
-                                        std::size_t num_frames) override;
+  void DecodeStream(FrameFeed& feed) override;
   std::string Name() const override;
 
   const FixedMinSumOptions& options() const { return options_; }
-  std::size_t max_lanes() const { return max_lanes_; }
 
  private:
-  const LdpcCode& code_;
   FixedMinSumOptions options_;
   LlrQuantizer quantizer_;
-  std::size_t max_lanes_;
   std::vector<Fixed> app_, extr_, bc_;
   core::CompressedCnLanes<core::FixedDatapath> msgs_;
-  std::vector<std::uint32_t> hard_;
-  core::BatchSyndromeTracker syndrome_;
 };
 
 /// The int8 lane datapath: CN messages travel as saturating int8
@@ -148,30 +161,23 @@ class BatchedFixedLayeredDecoder final : public Decoder {
 /// and normalization <= 1 — under which every lane reproduces the
 /// int32 FixedLayeredMinSumDecoder bit for bit (see batch_kernel.hpp
 /// for the argument), so the narrow datapath costs nothing in BER.
-class BatchedFixedI8LayeredDecoder final : public Decoder {
+class BatchedFixedI8LayeredDecoder final : public BatchedLaneDecoder {
  public:
   BatchedFixedI8LayeredDecoder(const LdpcCode& code,
                                FixedMinSumOptions options,
                                std::size_t max_lanes);
 
-  DecodeResult Decode(std::span<const double> llr) override;
-  std::vector<DecodeResult> DecodeBatch(std::span<const double> llrs,
-                                        std::size_t num_frames) override;
+  void DecodeStream(FrameFeed& feed) override;
   std::string Name() const override;
 
   const FixedMinSumOptions& options() const { return options_; }
-  std::size_t max_lanes() const { return max_lanes_; }
 
  private:
-  const LdpcCode& code_;
   FixedMinSumOptions options_;
   LlrQuantizer quantizer_;
-  std::size_t max_lanes_;
   std::vector<std::int16_t> app_, extr_;  // int16 BN accumulator lanes
   std::vector<std::int8_t> bc_;           // narrowed CN input lanes
   core::CompressedCnLanes<core::FixedI8Datapath> msgs_;
-  std::vector<std::uint32_t> hard_;
-  core::BatchSyndromeTracker syndrome_;
 };
 
 }  // namespace cldpc::ldpc

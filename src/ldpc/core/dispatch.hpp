@@ -58,22 +58,23 @@ const char* IsaName(Isa isa);
 /// names.
 Isa ParseIsaName(const std::string& name);
 
-/// The decode work every datapath's entry point shares. The caller
-/// (the decoder's DecodeBatch) owns all buffers. `results` must be
-/// pre-sized by the caller — num_frames entries, each with bits
-/// already sized to n — so the ISA-compiled kernels never touch
-/// std::vector growth paths (container template instantiations are
-/// weak symbols shared across TUs; an ISA-flagged copy winning the
-/// link would leak AVX code into baseline callers).
+/// The decode stream every datapath's entry point shares. The caller
+/// (the decoder's DecodeStream) owns all buffers. `result` must be
+/// pre-sized by the caller — bits already sized to n — so the
+/// ISA-compiled kernels never touch std::vector growth paths
+/// (container template instantiations are weak symbols shared across
+/// TUs; an ISA-flagged copy winning the link would leak AVX code into
+/// baseline callers).
 struct LaneDecodeCommon {
   const LdpcCode* code = nullptr;
   IterOptions iter;
-  const double* llrs = nullptr;  // num_frames frames of n LLRs
-  std::size_t num_frames = 0;
+  FrameFeed* feed = nullptr;
   std::size_t max_lanes = 0;
   std::uint32_t* hard_mask = nullptr;  // packed per-bit lane masks
   BatchSyndromeTracker* syndrome = nullptr;
-  DecodeResult* results = nullptr;  // out, pre-sized (see above)
+  /// Scratch each finished frame is captured into before it is
+  /// delivered to the feed (pre-sized, see above).
+  DecodeResult* result = nullptr;
 };
 
 struct LaneArgsDouble {
@@ -144,7 +145,7 @@ struct ChannelArgs {
   double* symbols = nullptr;  // n doubles of scratch (per-frame tier)
 };
 
-/// One ISA's set of lane-decode entry points, plus the frame-lane
+/// One ISA's set of lane-decode stream entry points, plus the frame-lane
 /// frontend (core/frame_lanes.inc): the scalar tier's entries are the
 /// per-frame loop over the scalar API, the AVX tiers draw 4 or 8
 /// frames per register, bit-identically.
@@ -183,7 +184,7 @@ const LaneKernelTable& ActiveLaneKernels();
 const LaneKernelTable* LaneKernelsFor(Isa isa);
 
 /// Test hook: force the active table to `isa` (must be available).
-/// Decoders consult ActiveLaneKernels() per DecodeBatch call, so the
+/// Decoders consult ActiveLaneKernels() per DecodeStream call, so the
 /// override applies immediately; pass DetectIsa()'s original value to
 /// restore.
 void ForceIsaForTesting(Isa isa);

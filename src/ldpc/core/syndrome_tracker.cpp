@@ -1,5 +1,7 @@
 #include "ldpc/core/syndrome_tracker.hpp"
 
+#include <algorithm>
+
 #include "util/contracts.hpp"
 
 namespace cldpc::ldpc::core {
@@ -36,14 +38,8 @@ void BatchSyndromeTracker::Reset(std::span<const std::uint8_t> hard,
   }
 }
 
-void BatchSyndromeTracker::ResetMasks(std::span<const std::uint32_t> masks) {
-  CLDPC_EXPECTS(masks.size() == sched_->num_bits(),
-                "hard mask length must equal n");
-  for (std::size_t m = 0; m < sched_->num_checks(); ++m) {
-    std::uint32_t p = 0;
-    for (const auto b : sched_->CheckBits(m)) p ^= masks[b];
-    parity_[m] = p;
-  }
+void BatchSyndromeTracker::Clear() {
+  std::fill(parity_.begin(), parity_.end(), 0u);
 }
 
 std::uint32_t BatchSyndromeTracker::UnsatisfiedLanes() const {

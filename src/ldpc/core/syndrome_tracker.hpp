@@ -65,10 +65,10 @@ class BatchSyndromeTracker {
   /// (hard[n * lanes + l] = lane l's decision for bit n).
   void Reset(std::span<const std::uint8_t> hard, std::size_t lanes);
 
-  /// Rebuild from packed per-bit lane masks (masks[n] bit l = lane
-  /// l's decision for bit n) — the batched decoders' native hard-
-  /// decision representation.
-  void ResetMasks(std::span<const std::uint32_t> masks);
+  /// The parity masks of all-zero hard decisions (every check
+  /// satisfied in every lane) — where the batched decoders start,
+  /// their packed per-bit lane masks zeroed to match.
+  void Clear();
 
   /// Bit n's hard decision flipped in the lanes of `lane_mask`.
   void Flip(std::size_t n, std::uint32_t lane_mask) {

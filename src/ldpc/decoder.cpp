@@ -1,5 +1,7 @@
 #include "ldpc/decoder.hpp"
 
+#include <limits>
+
 #include "util/contracts.hpp"
 
 namespace cldpc::ldpc {
@@ -15,6 +17,20 @@ std::vector<DecodeResult> Decoder::DecodeBatch(std::span<const double> llrs,
   for (std::size_t f = 0; f < num_frames; ++f)
     results.push_back(Decode(llrs.subspan(f * n, n)));
   return results;
+}
+
+void Decoder::DecodeStream(FrameFeed& feed) {
+  std::uint64_t seq = 0;
+  for (;;) {
+    // Every pulled frame is delivered before the next Pull, so the
+    // decoder is always idle here.
+    const FrameChunk chunk =
+        feed.Pull(std::numeric_limits<std::size_t>::max(), /*idle=*/true);
+    if (chunk.frames == 0) return;
+    const auto results = DecodeBatch(chunk.llrs, chunk.frames);
+    for (const auto& result : results)
+      if (!feed.Deliver(seq++, result)) return;
+  }
 }
 
 std::vector<std::uint8_t> HardDecisions(std::span<const double> llr) {

@@ -10,6 +10,10 @@ DecodeMetricIds RegisterDecodeMetrics(MetricsRegistry& registry) {
   ids.lane_capacity = registry.Counter("decode.lane_capacity", D::kScheduling);
   ids.lane_occupancy =
       registry.Hist("decode.lane_occupancy", D::kScheduling, "lanes");
+  ids.lane_iterations_run =
+      registry.Counter("decode.lane_iterations_run", D::kScheduling);
+  ids.lane_iterations_used =
+      registry.Counter("decode.lane_iterations_used", D::kScheduling);
   ids.syndrome_bit_scans =
       registry.Counter("decode.syndrome_bit_scans", D::kScheduling);
   ids.syndrome_bit_flips =

@@ -3,16 +3,17 @@
 // Decoders are constructed through the registry by spec string and
 // know nothing about the engine or a metrics registry; handing every
 // decoder a shard pointer would thread obs through every constructor
-// and the whole registry grammar. Instead the engine (or a bench)
-// installs a DecodeSink for the current thread around each decode
-// call; decoder hot paths read one thread-local pointer and branch on
-// null — the entire cost of disabled metrics.
+// and the whole registry grammar. Instead the engine (around each
+// worker's decode stream) or a bench (around a decode call) installs
+// a DecodeSink for the current thread; decoder hot paths read one
+// thread-local pointer and branch on null — the entire cost of
+// disabled metrics.
 //
 // The decode.* metrics recorded through the sink count *work
 // actually executed* on this worker, including frames the engine
 // later discards as speculation past an early-stopped point; they are
 // therefore registered as Determinism::kScheduling (totals vary with
-// thread count), unlike the engine's aggregator-side engine.* facts.
+// thread count), unlike the engine's commit-side engine.* facts.
 #pragma once
 
 #include <cstdint>
@@ -29,6 +30,11 @@ struct DecodeMetricIds {
   /// were: occupancy = lanes_filled / lane_capacity.
   CounterId lane_groups, lanes_filled, lane_capacity;
   HistogramId lane_occupancy;  // group width per lane group
+  /// Lane utilisation of the lane engine: lane_iterations_run counts
+  /// group width x group-iterations executed, lane_iterations_used
+  /// the lane-iterations that carried a frame; used / run is the
+  /// share of SIMD lane work that decoded something.
+  CounterId lane_iterations_run, lane_iterations_used;
   /// Incremental syndrome tracker economics: bit positions scanned
   /// per iteration vs hard-decision flips actually folded. Hit rate
   /// (scans the tracker skipped work for) = 1 - flips / scans.

@@ -136,7 +136,9 @@ struct BerCurve {
 };
 
 /// Per-frame hook (e.g. progress output). Arguments: snr index, frame
-/// index, frame errored. Called in frame order regardless of threads.
+/// index, frame errored. Called in frame order regardless of threads,
+/// one call at a time (from the engine thread that commits the
+/// frame's batch).
 using FrameCallback =
     std::function<void(std::size_t, std::uint64_t, bool)>;
 

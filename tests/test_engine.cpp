@@ -3,12 +3,17 @@
 #include <gtest/gtest.h>
 
 #include "engine/thread_pool.hpp"
+#include "obs/metrics.hpp"
 
+#include <atomic>
+#include <limits>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <tuple>
 #include <vector>
 
+#include "ldpc/core/registry.hpp"
 #include "ldpc/minsum_decoder.hpp"
 #include "qc/small_codes.hpp"
 #include "sim/ber_runner.hpp"
@@ -217,6 +222,190 @@ TEST(SimEngine, ThrowingFrameCallbackPropagatesCleanly) {
               }),
       std::runtime_error);
   EXPECT_EQ(calls, 7);
+}
+
+// --- Refilled lane streams through the engine ----------------------
+//
+// A 32-lane int8 decoder keeps its lane group full across batch
+// boundaries; the engine must still commit exactly the frames, in
+// exactly the order, that the scalar fixed decoder produces one frame
+// at a time.
+
+constexpr const char* kLaneSpec = "fixed-layered-nms-i8:iters=12,batch=32";
+constexpr const char* kOracleSpec = "fixed-layered-nms:iters=12";
+
+DecoderFactory SpecFactory(const char* spec) {
+  auto& f = Shared();
+  return [&f, spec] { return ldpc::MakeDecoder(f.code, spec); };
+}
+
+/// The scalar oracle's curve: one frame per batch on the calling
+/// thread.
+sim::BerCurve OracleCurve(sim::BerConfig config) {
+  auto& f = Shared();
+  config.threads = 1;
+  config.batch_frames = 1;
+  const auto decoder = ldpc::MakeDecoder(f.code, kOracleSpec);
+  return SimEngine(f.code, f.encoder, config).Run(*decoder);
+}
+
+/// ExpectIdentical minus the decoder name (the i8 and int32 decoders
+/// name their datapaths differently).
+void ExpectSamePoints(const sim::BerCurve& a, const sim::BerCurve& b,
+                      const std::string& what) {
+  ASSERT_EQ(a.points.size(), b.points.size()) << what;
+  for (std::size_t i = 0; i < a.points.size(); ++i) {
+    const auto& pa = a.points[i];
+    const auto& pb = b.points[i];
+    EXPECT_EQ(pa.ebn0_db, pb.ebn0_db) << what;
+    EXPECT_EQ(pa.bit_errors.errors(), pb.bit_errors.errors()) << what;
+    EXPECT_EQ(pa.bit_errors.trials(), pb.bit_errors.trials()) << what;
+    EXPECT_EQ(pa.frame_errors.errors(), pb.frame_errors.errors()) << what;
+    EXPECT_EQ(pa.frames, pb.frames) << what;
+    EXPECT_EQ(pa.iterations_total, pb.iterations_total) << what;
+  }
+}
+
+TEST(SimEngineStreams, CurvesMatchOracleAcrossThreadsAndBatches) {
+  sim::BerConfig config;
+  config.ebn0_db = {2.0, 3.5};
+  config.max_frames = 70;
+  config.min_frame_errors = std::numeric_limits<std::uint64_t>::max();
+  config.base_seed = 21;
+  const auto reference = OracleCurve(config);
+  ASSERT_GT(reference.points[0].frame_errors.errors(), 0u);
+  auto& f = Shared();
+  for (const std::size_t threads : {1u, 2u, 3u, 4u}) {
+    for (const std::uint64_t batch : {1u, 5u, 16u, 32u, 33u}) {
+      config.threads = threads;
+      config.batch_frames = batch;
+      ExpectSamePoints(
+          SimEngine(f.code, f.encoder, config).Run(SpecFactory(kLaneSpec)),
+          reference,
+          std::to_string(threads) + " threads, batch " +
+              std::to_string(batch));
+    }
+  }
+}
+
+TEST(SimEngineStreams, EarlyStopDiscardsRefilledSpeculation) {
+  sim::BerConfig config;
+  config.ebn0_db = {1.0, 1.5};  // frames fail often: early stop
+  config.max_frames = 500;
+  config.min_frame_errors = 5;
+  config.base_seed = 11;
+  const auto reference = OracleCurve(config);
+  ASSERT_EQ(reference.points[0].frame_errors.errors(), 5u);
+  ASSERT_LT(reference.points[0].frames, config.max_frames);
+  auto& f = Shared();
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    for (const std::uint64_t batch : {1u, 7u, 32u}) {
+      config.threads = threads;
+      config.batch_frames = batch;
+      obs::MetricsRegistry registry;
+      config.metrics = &registry;
+      ExpectSamePoints(
+          SimEngine(f.code, f.encoder, config).Run(SpecFactory(kLaneSpec)),
+          reference,
+          std::to_string(threads) + " threads, batch " +
+              std::to_string(batch));
+      // Speculation past each point's stop stays inside the
+      // 4-batch-per-worker window, plus the batch a worker may be
+      // staging.
+      double waste = -1.0;
+      for (const auto& g : registry.Merge().gauges)
+        if (g.name == "engine.speculation_waste_frames") waste = g.value;
+      EXPECT_GE(waste, 0.0);
+      EXPECT_LE(waste, static_cast<double>(config.ebn0_db.size() * 5 *
+                                           threads * batch));
+    }
+  }
+}
+
+TEST(SimEngineStreams, CancelStopsAtTheNextBatchBoundary) {
+  // The flag goes up while frame 40 is committed: its batch (frames
+  // 32-47 at 16 per batch) is committed whole, nothing after it.
+  auto& f = Shared();
+  sim::BerConfig config;
+  config.ebn0_db = {2.0, 3.0};
+  config.max_frames = 200;
+  config.min_frame_errors = std::numeric_limits<std::uint64_t>::max();
+  config.base_seed = 5;
+  config.batch_frames = 16;
+  auto prefix = config;
+  prefix.ebn0_db = {2.0};
+  prefix.max_frames = 48;
+  const auto reference = OracleCurve(prefix);
+  for (const std::size_t threads : {1u, 3u}) {
+    std::atomic<bool> cancel{false};
+    config.cancel = &cancel;
+    config.threads = threads;
+    std::uint64_t calls = 0;
+    const auto curve = SimEngine(f.code, f.encoder, config)
+                           .Run(SpecFactory(kLaneSpec),
+                                [&](std::size_t, std::uint64_t frame, bool) {
+                                  ++calls;
+                                  if (frame == 40) cancel.store(true);
+                                });
+    ExpectSamePoints(curve, reference, std::to_string(threads) + " threads");
+    EXPECT_EQ(calls, 48u);
+  }
+}
+
+TEST(SimEngineStreams, OffsetsSliceTheWholeRun) {
+  // Two chunks of point 1 (absolute frames 0-24 and 25-59, selected by
+  // start_frame and snr_index_base) add up to the whole run's point 1.
+  auto& f = Shared();
+  sim::BerConfig whole;
+  whole.ebn0_db = {2.0, 2.5};
+  whole.max_frames = 60;
+  whole.min_frame_errors = std::numeric_limits<std::uint64_t>::max();
+  whole.base_seed = 13;
+  whole.threads = 3;
+  whole.batch_frames = 5;
+  const auto full =
+      SimEngine(f.code, f.encoder, whole).Run(SpecFactory(kLaneSpec));
+  ASSERT_GT(full.points[1].frame_errors.errors(), 0u);
+
+  std::uint64_t frames = 0, frame_errors = 0, bit_errors = 0, iterations = 0;
+  for (const auto& [start, count] :
+       {std::pair<std::uint64_t, std::uint64_t>{0, 25}, {25, 35}}) {
+    auto chunk = whole;
+    chunk.ebn0_db = {2.5};
+    chunk.snr_index_base = 1;
+    chunk.start_frame = start;
+    chunk.max_frames = count;
+    const auto part =
+        SimEngine(f.code, f.encoder, chunk).Run(SpecFactory(kLaneSpec));
+    frames += part.points[0].frames;
+    frame_errors += part.points[0].frame_errors.errors();
+    bit_errors += part.points[0].bit_errors.errors();
+    iterations += part.points[0].iterations_total;
+  }
+  EXPECT_EQ(frames, full.points[1].frames);
+  EXPECT_EQ(frame_errors, full.points[1].frame_errors.errors());
+  EXPECT_EQ(bit_errors, full.points[1].bit_errors.errors());
+  EXPECT_EQ(iterations, full.points[1].iterations_total);
+}
+
+TEST(SimEngineStreams, NoDeadlockWhenTheWindowHoldsLessThanALaneGroup) {
+  // 4 workers x 4 one-frame batches: the 16-frame speculation window
+  // is smaller than one worker's 32-lane group, so workers keep
+  // running into a full window while their lanes still hold frames.
+  // Only an idle worker may wait for window space; a busy one decodes
+  // on, so the batch the window waits on always completes.
+  sim::BerConfig config;
+  config.ebn0_db = {2.0, 3.5};
+  config.max_frames = 100;
+  config.min_frame_errors = std::numeric_limits<std::uint64_t>::max();
+  config.base_seed = 3;
+  const auto reference = OracleCurve(config);
+  config.threads = 4;
+  config.batch_frames = 1;
+  auto& f = Shared();
+  ExpectSamePoints(
+      SimEngine(f.code, f.encoder, config).Run(SpecFactory(kLaneSpec)),
+      reference, "4 threads, batch 1");
 }
 
 TEST(ResolveThreadsTest, ZeroMeansHardwareConcurrency) {
