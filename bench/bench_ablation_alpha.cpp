@@ -6,15 +6,18 @@
 //
 // Flags: --snr=4.0 --frames=N --quick
 #include <cstdio>
+#include <memory>
 
 #include "de/density_evolution.hpp"
+#include "engine/sim_engine.hpp"
 #include "ldpc/c2_system.hpp"
 #include "ldpc/fixed_minsum_decoder.hpp"
-#include "sim/ber_runner.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int RunMain(int argc, char** argv) {
   using namespace cldpc;
   const ArgParser args(argc, argv);
   const bool quick = args.GetBool("quick");
@@ -29,7 +32,7 @@ int main(int argc, char** argv) {
 
   std::printf("Building CCSDS C2 system...\n");
   const auto system = ldpc::MakeC2System();
-  sim::BerRunner runner(*system.code, *system.encoder, config);
+  engine::SimEngine sim(*system.code, *system.encoder, config);
 
   const double alphas[] = {1.0, 1.1, 1.23, 1.33, 1.45, 1.6, 2.0};
   TablePrinter table({"alpha", "1/alpha (dyadic)", "BER", "PER"});
@@ -38,8 +41,9 @@ int main(int argc, char** argv) {
     o.iter.max_iterations = 18;
     o.iter.early_termination = true;
     o.datapath.normalization = NearestDyadic(1.0 / alpha, 4);
-    ldpc::FixedMinSumDecoder dec(*system.code, o);
-    const auto curve = runner.Run(dec);
+    const auto curve = sim.Run([&] {
+      return std::make_unique<ldpc::FixedMinSumDecoder>(*system.code, o);
+    });
     const auto& p = curve.points.front();
     table.AddRow({FormatDouble(alpha, 2),
                   std::to_string(o.datapath.normalization.num) + "/16",
@@ -72,4 +76,10 @@ int main(int argc, char** argv) {
               "1.2-1.4 — the \"fine scaled correction factor\" the paper "
               "credits for its 0.05 dB gain.\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return cldpc::GuardedMain(argc, argv, RunMain);
 }

@@ -14,7 +14,9 @@
 #include "util/rng.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int RunMain(int argc, char** argv) {
   using namespace cldpc;
   const ArgParser args(argc, argv);
   const bool quick = args.GetBool("quick");
@@ -61,4 +63,10 @@ int main(int argc, char** argv) {
       "exchange re-derives corrupted state — and collapses somewhere\n"
       "between 1e-3 and 1e-2, where corruption outpaces correction.\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return cldpc::GuardedMain(argc, argv, RunMain);
 }

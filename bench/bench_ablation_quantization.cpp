@@ -5,15 +5,18 @@
 //
 // Flags: --snr=4.0 --frames=N --quick
 #include <cstdio>
+#include <memory>
 
 #include "arch/resources.hpp"
+#include "engine/sim_engine.hpp"
 #include "ldpc/c2_system.hpp"
 #include "ldpc/fixed_minsum_decoder.hpp"
-#include "sim/ber_runner.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int RunMain(int argc, char** argv) {
   using namespace cldpc;
   const ArgParser args(argc, argv);
   const bool quick = args.GetBool("quick");
@@ -28,7 +31,7 @@ int main(int argc, char** argv) {
 
   std::printf("Building CCSDS C2 system...\n");
   const auto system = ldpc::MakeC2System();
-  sim::BerRunner runner(*system.code, *system.encoder, config);
+  engine::SimEngine sim(*system.code, *system.encoder, config);
 
   TablePrinter table(
       {"Message bits", "Channel scale", "BER", "PER", "Message memory"});
@@ -42,8 +45,9 @@ int main(int argc, char** argv) {
     // the waterfall-SNR LLR distribution saturates at every width.
     o.datapath.channel_scale = 2.0 * (double(SymmetricMax(width)) / 31.0);
     o.datapath.app_bits = width + 3;
-    ldpc::FixedMinSumDecoder dec(*system.code, o);
-    const auto curve = runner.Run(dec);
+    const auto curve = sim.Run([&] {
+      return std::make_unique<ldpc::FixedMinSumDecoder>(*system.code, o);
+    });
     const auto& p = curve.points.front();
 
     arch::ArchConfig arch_config = arch::LowCostConfig();
@@ -69,4 +73,10 @@ int main(int argc, char** argv) {
               "the low-cost decoder's 50%% RAM budget is what rules out "
               "wide words.\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return cldpc::GuardedMain(argc, argv, RunMain);
 }

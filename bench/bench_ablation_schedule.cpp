@@ -15,7 +15,9 @@
 #include "util/rng.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int RunMain(int argc, char** argv) {
   using namespace cldpc;
   const ArgParser args(argc, argv);
   const bool quick = args.GetBool("quick");
@@ -72,4 +74,10 @@ int main(int argc, char** argv) {
       "needs ~18 for (flooding at 9 loses frames), at ~2x the throughput —\n"
       "the classic TDMP trade the compressed storage makes available.\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return cldpc::GuardedMain(argc, argv, RunMain);
 }

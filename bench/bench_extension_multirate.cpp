@@ -16,7 +16,9 @@
 #include "util/rng.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int RunMain(int argc, char** argv) {
   using namespace cldpc;
   const ArgParser args(argc, argv);
   const bool quick = args.GetBool("quick");
@@ -80,4 +82,10 @@ int main(int argc, char** argv) {
       "only the block geometry differs — the generic-architecture thesis\n"
       "of the paper carried to the deep-space rate family.\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return cldpc::GuardedMain(argc, argv, RunMain);
 }

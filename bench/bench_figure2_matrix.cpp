@@ -12,7 +12,9 @@
 #include "util/cli.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int RunMain(int argc, char** argv) {
   using namespace cldpc;
   const ArgParser args(argc, argv);
   const auto seed = args.GetUint("seed", qc::kC2DefaultSeed);
@@ -85,4 +87,10 @@ int main(int argc, char** argv) {
                 FormatCount(h.nnz()).c_str());
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return cldpc::GuardedMain(argc, argv, RunMain);
 }

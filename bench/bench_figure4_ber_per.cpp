@@ -39,7 +39,9 @@
 #include "sim/ber_runner.hpp"
 #include "util/cli.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int RunMain(int argc, char** argv) {
   using namespace cldpc;
   const ArgParser args(argc, argv);
   const bool quick = args.GetBool("quick");
@@ -68,7 +70,7 @@ int main(int argc, char** argv) {
   obs::Session obs_session(args, {.trace = true});
   config.metrics = obs_session.metrics();
 
-  sim::BerRunner runner(*system.code, *system.encoder, config);
+  engine::SimEngine sim(*system.code, *system.encoder, config);
   std::printf("Engine threads: %zu\n",
               engine::ResolveThreads(config.threads));
 
@@ -78,12 +80,12 @@ int main(int argc, char** argv) {
   if (args.Has("decoder")) {
     for (const auto& spec : args.GetStringList("decoder", {})) {
       std::printf("Running %s...\n", spec.c_str());
-      curves.push_back(runner.RunSpec(spec));
+      curves.push_back(sim.Run(ldpc::MakeDecoderFactory(*system.code, spec)));
     }
   } else {
     // The default Figure-4 suite, built through the registry seam.
     const auto run = [&](const char* spec, const char* label) {
-      auto curve = runner.RunSpec(spec);
+      auto curve = sim.Run(ldpc::MakeDecoderFactory(*system.code, spec));
       curve.decoder_name = label;
       curves.push_back(std::move(curve));
     };
@@ -133,4 +135,10 @@ int main(int argc, char** argv) {
   std::printf("Increase --frames (e.g. 2000) to resolve BERs below 1e-6; "
               "--threads=0 uses every core.\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return cldpc::GuardedMain(argc, argv, RunMain);
 }

@@ -80,9 +80,7 @@ bool WriteJson(const std::string& path,
   return true;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int RunMain(int argc, char** argv) {
   const ArgParser args(argc, argv);
   const double clock_mhz = args.GetDouble("clock-mhz", 200.0);
   const std::string json_path = args.GetString("json", "");
@@ -134,4 +132,10 @@ int main(int argc, char** argv) {
               .IterationCycles()));
   if (!json_path.empty() && !WriteJson(json_path, records)) return 1;
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return cldpc::GuardedMain(argc, argv, RunMain);
 }

@@ -48,7 +48,6 @@
 // frame, exactly where ^C would be honored.
 #include <chrono>
 #include <cstdio>
-#include <exception>
 #include <memory>
 #include <stdexcept>
 
@@ -112,7 +111,7 @@ int RunMain(int argc, char** argv) {
   obs::Session obs_session(args, {.trace = true});
   config.metrics = obs_session.metrics();
 
-  sim::BerRunner runner(code, *system.encoder, config);
+  engine::SimEngine sim(code, *system.encoder, config);
   std::printf("Engine threads: %zu\n",
               engine::ResolveThreads(config.threads));
 
@@ -178,18 +177,20 @@ int RunMain(int argc, char** argv) {
     for (const auto& spec : args.GetStringList("decoder", {})) {
       if (util::ShutdownRequested()) break;
       std::printf("Running %s...\n", spec.c_str());
-      curves.push_back(runner.RunSpec(spec, on_frame));
+      curves.push_back(sim.Run(ldpc::MakeDecoderFactory(code, spec), on_frame));
     }
   } else {
     // Default comparison, built through the same registry seam: the
     // 6-bit fixed datapath vs floating-point NMS at 18 iterations.
     std::printf("Running fixed-point NMS-18...\n");
-    auto fixed = runner.RunSpec("fixed-nms:iters=18", on_frame);
+    auto fixed =
+        sim.Run(ldpc::MakeDecoderFactory(code, "fixed-nms:iters=18"), on_frame);
     fixed.decoder_name = "fixed NMS-18";
     curves.push_back(std::move(fixed));
     if (!util::ShutdownRequested()) {
       std::printf("Running float NMS-18...\n");
-      auto nms = runner.RunSpec("nms:iters=18,alpha=1.23", on_frame);
+      auto nms = sim.Run(
+          ldpc::MakeDecoderFactory(code, "nms:iters=18,alpha=1.23"), on_frame);
       nms.decoder_name = "float NMS-18";
       curves.push_back(std::move(nms));
     }
@@ -235,16 +236,5 @@ int RunMain(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Trust boundary for user input: bad --code / --decoder / flag
-  // values surface as std::invalid_argument with a message naming the
-  // problem — report and exit with a usage error, never a crash.
-  try {
-    return RunMain(argc, argv);
-  } catch (const std::invalid_argument& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 2;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "fatal: %s\n", e.what());
-    return 1;
-  }
+  return cldpc::GuardedMain(argc, argv, RunMain);
 }

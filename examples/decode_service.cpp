@@ -35,7 +35,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <exception>
 #include <map>
 #include <memory>
 #include <stdexcept>
@@ -209,15 +208,5 @@ int RunMain(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Trust boundary: malformed --code / --decoder / flag values from
-  // the user surface as std::invalid_argument — report, don't crash.
-  try {
-    return RunMain(argc, argv);
-  } catch (const std::invalid_argument& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 2;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "fatal: %s\n", e.what());
-    return 1;
-  }
+  return cldpc::GuardedMain(argc, argv, RunMain);
 }

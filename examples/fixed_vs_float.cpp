@@ -21,7 +21,9 @@
 #include "util/rng.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int RunMain(int argc, char** argv) {
   using namespace cldpc;
   const ArgParser args(argc, argv);
   const double snr = args.GetDouble("snr", 4.0);
@@ -81,4 +83,10 @@ int main(int argc, char** argv) {
               "differences are pure quantization.\n",
               fixed_equals_nms, frames);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return cldpc::GuardedMain(argc, argv, RunMain);
 }

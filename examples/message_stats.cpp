@@ -14,7 +14,9 @@
 #include "util/histogram.hpp"
 #include "util/rng.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int RunMain(int argc, char** argv) {
   using namespace cldpc;
   const ArgParser args(argc, argv);
   const double snr = args.GetDouble("snr", 3.8);
@@ -69,4 +71,10 @@ int main(int argc, char** argv) {
               "saturates only a few percent — the narrow word wastes almost\n"
               "no information, which is why 6 bits suffice.\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return cldpc::GuardedMain(argc, argv, RunMain);
 }

@@ -10,7 +10,9 @@
 #include "qc/ccsds_c2.hpp"
 #include "util/cli.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int RunMain(int argc, char** argv) {
   using namespace cldpc;
   const ArgParser args(argc, argv);
   const int iterations = static_cast<int>(args.GetInt("iterations", 3));
@@ -70,4 +72,10 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(controller.IoCycles()),
               controller.IoIsHidden(iterations) ? "yes" : "NO");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return cldpc::GuardedMain(argc, argv, RunMain);
 }

@@ -13,7 +13,9 @@
 #include "util/cli.hpp"
 #include "util/rng.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int RunMain(int argc, char** argv) {
   using namespace cldpc;
   const ArgParser args(argc, argv);
   const double snr_db = args.GetDouble("snr", 4.2);
@@ -77,4 +79,10 @@ int main(int argc, char** argv) {
                   config, decoder.LastStats(),
                   system.framing->tx_info_bits()));
   return residual == 0 ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return cldpc::GuardedMain(argc, argv, RunMain);
 }

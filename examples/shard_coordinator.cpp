@@ -53,7 +53,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <exception>
 #include <filesystem>
 #include <limits>
 #include <stdexcept>
@@ -291,13 +290,5 @@ int RunMain(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  try {
-    return RunMain(argc, argv);
-  } catch (const std::invalid_argument& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 2;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "fatal: %s\n", e.what());
-    return 1;
-  }
+  return cldpc::GuardedMain(argc, argv, RunMain);
 }

@@ -12,7 +12,9 @@
 #include "tanner/graph.hpp"
 #include "util/cli.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int RunMain(int argc, char** argv) {
   using namespace cldpc;
   const ArgParser args(argc, argv);
 
@@ -60,4 +62,10 @@ int main(int argc, char** argv) {
               code.k());
   std::printf("\nFull scatter data: bench_figure2_matrix --dump\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return cldpc::GuardedMain(argc, argv, RunMain);
 }

@@ -57,7 +57,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <exception>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -168,11 +167,11 @@ int RunMain(int argc, char** argv) {
     obs::Session obs_session(args, {.trace = true});
     mc.metrics = obs_session.metrics();
 
-    sim::BerRunner runner(*system.code, *system.encoder, mc);
+    engine::SimEngine sim(*system.code, *system.encoder, mc);
     const bool alloc_stats = args.GetBool("alloc-stats");
     const obs::AllocStats allocs_before = obs::AllocSnapshot();
     const auto t0 = std::chrono::steady_clock::now();
-    const auto curve = runner.RunSpec(spec);
+    const auto curve = sim.Run(ldpc::MakeDecoderFactory(*system.code, spec));
     const auto elapsed =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count();
@@ -257,16 +256,5 @@ int RunMain(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Trust boundary for user input: bad --code / --decoder / flag
-  // values surface as std::invalid_argument with a message naming the
-  // problem — report and exit with a usage error, never a crash.
-  try {
-    return RunMain(argc, argv);
-  } catch (const std::invalid_argument& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 2;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "fatal: %s\n", e.what());
-    return 1;
-  }
+  return cldpc::GuardedMain(argc, argv, RunMain);
 }

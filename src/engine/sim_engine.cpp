@@ -23,7 +23,7 @@
 namespace cldpc::engine {
 
 // Metric ids the engine records, registered once per registry (names
-// deduplicate, so several engines — e.g. one per RunSpec call of a
+// deduplicate, so several engines — e.g. one per curve of a
 // multi-curve binary — share ids and accumulate into the same
 // totals). The kStable set is recorded exclusively by the in-order
 // commit; see the header's telemetry note.
@@ -104,8 +104,9 @@ SimEngine::~SimEngine() = default;
 
 // In-order consumer of frame results; the single place where
 // estimator totals, the iteration sum and the early-stop decision are
-// produced, on the calling thread whatever the worker count, so the
-// output cannot depend on it.
+// produced. Whichever worker publishes the batch the point waits for
+// runs it (one committer at a time, strictly in frame order), so the
+// output cannot depend on the worker count.
 struct SimEngine::PointAccumulator {
   sim::BerPoint point;
   std::uint64_t next_frame = 0;
@@ -117,7 +118,7 @@ struct SimEngine::PointAccumulator {
   const MetricsHook* hook = nullptr;
 
   /// Returns true once the point has reached min_frame_errors (the
-  /// frame that reaches it is included, like the sequential runner).
+  /// frame that reaches it is included).
   bool Consume(const FrameResult& result, std::size_t snr_index,
                std::uint64_t counted_bits, std::uint64_t min_frame_errors,
                bool has_frame_check, const sim::FrameCallback& on_frame) {
@@ -518,30 +519,12 @@ sim::BerCurve SimEngine::Run(const DecoderFactory& factory,
                              const sim::FrameCallback& on_frame) {
   const std::size_t threads = ResolveThreads(config_.threads);
   DecoderPool decoders(factory, threads);
-  return RunStreams(
-      [&decoders](std::size_t worker) -> ldpc::Decoder& {
-        return decoders.Get(worker);
-      },
-      decoders.name(), threads, on_frame);
-}
-
-sim::BerCurve SimEngine::Run(ldpc::Decoder& decoder,
-                             const sim::FrameCallback& on_frame) {
-  return RunStreams(
-      [&decoder](std::size_t) -> ldpc::Decoder& { return decoder; },
-      decoder.Name(), 1, on_frame);
-}
-
-sim::BerCurve SimEngine::RunStreams(
-    const std::function<ldpc::Decoder&(std::size_t)>& decoder_for,
-    std::string decoder_name, std::size_t threads,
-    const sim::FrameCallback& on_frame) {
+  sim::BerCurve curve;
+  curve.decoder_name = decoders.name();
+  curve.has_frame_check = static_cast<bool>(config_.frame_check);
   // The calling thread is worker 0; a pool runs the other workers.
   std::optional<ThreadPool> pool;
   if (threads > 1) pool.emplace(threads - 1);
-  sim::BerCurve curve;
-  curve.decoder_name = std::move(decoder_name);
-  curve.has_frame_check = static_cast<bool>(config_.frame_check);
   const double rate = code_.Rate();
   // Worker w records into shard w with no synchronization; the
   // committer owns the shard behind them (kStable metrics only).
@@ -580,7 +563,7 @@ sim::BerCurve SimEngine::RunStreams(
     point_span.Arg("snr_index", static_cast<std::int64_t>(s));
     if (agg) agg->Add(hook_->points);
 
-    const auto run_worker = [this, &point, &decoder_for,
+    const auto run_worker = [this, &point, &decoders,
                              &scratches](std::size_t worker) {
       obs::Shard* wshard = hook_ ? &hook_->reg->shard(worker) : nullptr;
       // The thread-local sink the decoders' internal probes report
@@ -588,7 +571,7 @@ sim::BerCurve SimEngine::RunStreams(
       obs::ScopedDecodeSink sink(wshard, hook_ ? &hook_->decode : nullptr);
       BatchFeed feed(*this, point, scratches[worker], wshard);
       try {
-        decoder_for(worker).DecodeStream(feed);
+        decoders.Get(worker).DecodeStream(feed);
       } catch (...) {
         point.Fail(feed.FailedBatch(), std::current_exception());
       }

@@ -10,7 +10,7 @@
 // across batch boundaries, reloading each lane whose frame finished
 // with the next frame; scalar decoders take a batch per DecodeBatch
 // call. Completed batches are committed to the point's totals in
-// frame-index order. One run loop serves every entry point: the
+// frame-index order. One run loop serves every thread count: the
 // calling thread is worker 0 and a ThreadPool runs the others, so a
 // single-threaded run is the same loop with no pool.
 //
@@ -20,8 +20,8 @@
 // does NOT depend on the thread count, the batch size, or scheduling.
 //
 //  1. Every frame's randomness comes only from seeds derived as
-//     DeriveSeed(base_seed, snr_index, frame_index, stream) — the same
-//     per-frame stream contract the sequential runner uses (data
+//     DeriveSeed(base_seed, snr_index, frame_index, stream) — one
+//     per-frame stream contract at every thread count (data
 //     stream = 1, noise stream = 2; golden values locked by
 //     tests/test_rng.cpp). A frame's result is therefore independent
 //     of which worker decodes it and of every other frame.
@@ -30,7 +30,7 @@
 //     batch is committed by whichever worker completes the batch the
 //     point waits for, one committer at a time), so
 //     RateEstimator totals and the integer iteration sum see the
-//     exact sequence the sequential runner produces. (All per-point
+//     exact sequence the threads=1 run produces. (All per-point
 //     totals are exact integers — see BerPoint::iterations_total —
 //     which is also what makes sharded runs mergeable: dist/ sums
 //     shard statistics and provably reproduces the single-run curve.)
@@ -41,11 +41,11 @@
 //  3. Early stopping is decided only by the in-order commit: a
 //     point ends with the first frame whose cumulative frame-error
 //     count reaches min_frame_errors (that frame included), exactly
-//     like the sequential runner. Workers race ahead speculatively;
+//     as in the threads=1 run. Workers race ahead speculatively;
 //     results past the stop frame are discarded, and a bounded
 //     speculation window plus a cooperative stop flag keep the waste
 //     under ~4 * threads * batch_frames frames (the window is 4
-//     batches per worker, see RunStreams). Early-stop and cancel
+//     batches per worker, see Run). Early-stop and cancel
 //     decisions are taken between whole batches, and frames still in
 //     a decoder's lanes when the point is decided are dropped.
 //  4. A worker exception surfaces only if the point did not complete
@@ -55,10 +55,10 @@
 //     scheduling.
 //
 // Consequences: for a fixed seed the BerCurve is byte-identical across
-// thread counts, across batch sizes, and to sim::BerRunner's
-// sequential output — only wall-clock time changes. The FrameCallback
-// also fires in sequential order with identical arguments, one call
-// at a time, from whichever thread commits the frame's batch.
+// thread counts and batch sizes — every run equals the threads=1 run;
+// only wall-clock time changes. The FrameCallback also fires in frame
+// order with identical arguments, one call at a time, from whichever
+// thread commits the frame's batch.
 // ## Telemetry (obs/) and the contract
 //
 // With BerConfig::metrics set, the engine records decode telemetry
@@ -74,14 +74,13 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <string>
 #include <utility>
 #include <vector>
 
 #include "engine/decoder_pool.hpp"
 #include "gf2/bitvec.hpp"
+#include "ldpc/encoder.hpp"
 #include "sim/ber_runner.hpp"
 
 namespace cldpc::obs {
@@ -101,15 +100,11 @@ class SimEngine {
             sim::BerConfig config);
   ~SimEngine();
 
-  /// Run the sweep with config().threads workers, each owning a
-  /// decoder cloned from `factory`.
+  /// Run the sweep with config().threads workers (the calling thread
+  /// is worker 0), each owning a decoder cloned from `factory`. The
+  /// curve is named after the decoders' Name(). A spec string runs
+  /// through ldpc::MakeDecoderFactory (ldpc/core/registry.hpp).
   sim::BerCurve Run(const DecoderFactory& factory,
-                    const sim::FrameCallback& on_frame = {});
-
-  /// Run the sweep on the calling thread with a borrowed decoder
-  /// (ignores config().threads — a shared instance is not
-  /// thread-safe). Bit-identical to the factory entry point.
-  sim::BerCurve Run(ldpc::Decoder& decoder,
                     const sim::FrameCallback& on_frame = {});
 
   const sim::BerConfig& config() const { return config_; }
@@ -172,14 +167,6 @@ class SimEngine {
     return config_.cancel != nullptr &&
            config_.cancel->load(std::memory_order_acquire);
   }
-
-  /// The run loop behind both entry points: `threads` workers (the
-  /// calling thread is worker 0), each streaming a point's batches
-  /// through decoder_for(worker).
-  sim::BerCurve RunStreams(
-      const std::function<ldpc::Decoder&(std::size_t)>& decoder_for,
-      std::string decoder_name, std::size_t threads,
-      const sim::FrameCallback& on_frame);
 
   const ldpc::LdpcCode& code_;
   const ldpc::Encoder& encoder_;

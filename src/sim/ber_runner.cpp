@@ -2,47 +2,10 @@
 
 #include <algorithm>
 
-#include "engine/sim_engine.hpp"
-#include "ldpc/core/registry.hpp"
 #include "util/contracts.hpp"
 #include "util/table.hpp"
 
 namespace cldpc::sim {
-
-BerRunner::BerRunner(const ldpc::LdpcCode& code, const ldpc::Encoder& encoder,
-                     BerConfig config)
-    : code_(code), encoder_(encoder), config_(std::move(config)) {
-  CLDPC_EXPECTS(!config_.ebn0_db.empty(), "need at least one Eb/N0 point");
-  CLDPC_EXPECTS(config_.max_frames > 0, "need at least one frame");
-  CLDPC_EXPECTS(config_.batch_frames > 0, "need at least one frame per batch");
-}
-
-BerCurve BerRunner::Run(ldpc::Decoder& decoder,
-                        const FrameCallback& on_frame) {
-  // A borrowed decoder instance is not thread-safe: this overload is
-  // always sequential (the engine ignores config.threads for it).
-  engine::SimEngine sim(code_, encoder_, config_);
-  return sim.Run(decoder, on_frame);
-}
-
-BerCurve BerRunner::Run(const engine::DecoderFactory& factory,
-                        const FrameCallback& on_frame) {
-  engine::SimEngine sim(code_, encoder_, config_);
-  return sim.Run(factory, on_frame);
-}
-
-BerCurve BerRunner::RunSpec(const std::string& decoder_spec,
-                            const FrameCallback& on_frame) {
-  // One probe instance validates the spec and yields the canonical
-  // name; the workers then clone from the parsed spec directly.
-  const auto parsed = ldpc::DecoderSpec::Parse(decoder_spec);
-  const std::string name = ldpc::MakeDecoder(code_, parsed)->Name();
-  auto curve = Run(
-      [&code = code_, parsed] { return ldpc::MakeDecoder(code, parsed); },
-      on_frame);
-  curve.decoder_name = name;
-  return curve;
-}
 
 std::string RenderCurves(const std::vector<BerCurve>& curves) {
   CLDPC_EXPECTS(!curves.empty(), "no curves to render");

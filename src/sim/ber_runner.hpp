@@ -1,4 +1,4 @@
-// Monte-Carlo BER/PER measurement harness (Figure 4 of the paper).
+// Monte-Carlo BER/PER measurement types (Figure 4 of the paper).
 //
 // Per Eb/N0 point: encode random frames, push them through BPSK/AWGN,
 // decode, and count bit and frame errors until either a target error
@@ -8,11 +8,9 @@
 // the *same* noisy frames (paired comparison — much lower variance
 // for "A beats B" conclusions, the form of the paper's claims).
 //
-// The measurement itself lives in engine::SimEngine (see
-// engine/sim_engine.hpp for the determinism contract); BerRunner is a
-// thin front-end: Run(Decoder&) is the classic sequential entry
-// point, Run(DecoderFactory) fans frames out over config.threads
-// workers with bit-identical results.
+// This header holds the sweep's configuration and results, plus the
+// curve table. The measurement itself is engine::SimEngine::Run (see
+// engine/sim_engine.hpp for the determinism contract).
 #pragma once
 
 #include <atomic>
@@ -22,9 +20,6 @@
 #include <string>
 #include <vector>
 
-#include "engine/decoder_pool.hpp"
-#include "ldpc/decoder.hpp"
-#include "ldpc/encoder.hpp"
 #include "util/stats.hpp"
 
 namespace cldpc::obs {
@@ -59,8 +54,8 @@ struct BerConfig {
   /// Use all-zero frames instead of random data (valid for linear
   /// codes over a symmetric channel; halves the runtime).
   bool all_zero_codeword = false;
-  /// Worker threads for the factory-based Run (0 = hardware threads).
-  /// Never changes results — see the engine's determinism contract.
+  /// Engine worker threads (0 = hardware threads). Never changes
+  /// results — see the engine's determinism contract.
   std::size_t threads = 1;
   /// Frames per engine work item.
   std::uint64_t batch_frames = 16;
@@ -95,18 +90,18 @@ struct BerConfig {
   /// thread-count-invariant).
   obs::MetricsRegistry* metrics = nullptr;
   /// Optional cooperative cancellation (borrowed; e.g. the flag set
-  /// by util::InstallShutdownHandler). Checked at batch and point
-  /// boundaries: once it reads true, the run stops claiming new work,
-  /// drains in-flight batches, and returns the points measured so far
-  /// (the cancelled point keeps the frames it already aggregated).
-  /// Cancellation never corrupts results — every point in the
-  /// returned curve is made of exactly the frames its estimators
-  /// counted; only the sweep is shorter. Sequential-path granularity
-  /// guarantee (locked by tests/test_shutdown.cpp): a point cut short
-  /// by cancel holds a whole number of batches — at most one
-  /// batch_frames of work runs past the cancel point, which is what
-  /// bounds re-simulation after a checkpointed interruption (see
-  /// dist/).
+  /// by util::InstallShutdownHandler). Polled by the in-order commit
+  /// before each batch and between points: once it reads true, no
+  /// further batch is committed, workers stop claiming new work,
+  /// frames still in flight (staged batches, decoder lanes) are
+  /// abandoned, and the run returns the points measured so far, at
+  /// any thread count. Cancellation never corrupts results — every
+  /// point in the returned curve is made of exactly the frames its
+  /// estimators counted; only the sweep is shorter. Granularity
+  /// (locked by tests/test_shutdown.cpp): a point cut short by cancel
+  /// holds a whole number of batches — a batch mid-commit when the
+  /// flag is raised is kept whole, no later one is — and that is what
+  /// dist/ checkpoints on interruption.
   const std::atomic<bool>* cancel = nullptr;
 };
 
@@ -141,36 +136,6 @@ struct BerCurve {
 /// frame's batch).
 using FrameCallback =
     std::function<void(std::size_t, std::uint64_t, bool)>;
-
-class BerRunner {
- public:
-  /// Code and encoder must outlive the runner.
-  BerRunner(const ldpc::LdpcCode& code, const ldpc::Encoder& encoder,
-            BerConfig config);
-
-  /// Run the sweep for one decoder on the calling thread. The decoder
-  /// is reused across frames (hardware-like, no per-frame allocation).
-  BerCurve Run(ldpc::Decoder& decoder, const FrameCallback& on_frame = {});
-
-  /// Run the sweep on config.threads workers, each owning a decoder
-  /// cloned from `factory`. Output is bit-identical to the sequential
-  /// overload for any thread count.
-  BerCurve Run(const engine::DecoderFactory& factory,
-               const FrameCallback& on_frame = {});
-
-  /// Run any registered decoder by spec string (see
-  /// ldpc/core/registry.hpp for the grammar), on config.threads
-  /// workers. The curve is named after the decoder's canonical Name().
-  BerCurve RunSpec(const std::string& decoder_spec,
-                   const FrameCallback& on_frame = {});
-
-  const BerConfig& config() const { return config_; }
-
- private:
-  const ldpc::LdpcCode& code_;
-  const ldpc::Encoder& encoder_;
-  BerConfig config_;
-};
 
 /// Render curves as an aligned table (rows: Eb/N0; columns: BER/PER/
 /// frames per decoder). Curves may have different point counts or

@@ -1,6 +1,9 @@
 #include "util/cli.hpp"
 
+#include <cstdio>
+#include <exception>
 #include <sstream>
+#include <stdexcept>
 
 #include "util/contracts.hpp"
 #include "util/keyval.hpp"
@@ -100,6 +103,18 @@ std::vector<double> ArgParser::GetDoubleList(
           keyval::GetDouble({{name, item}}, name, 0.0, "flag --" + name));
   }
   return out;
+}
+
+int GuardedMain(int argc, char** argv, int (*run)(int, char**)) {
+  try {
+    return run(argc, argv);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "fatal: %s\n", e.what());
+    return 1;
+  }
 }
 
 }  // namespace cldpc

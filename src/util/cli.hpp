@@ -58,4 +58,13 @@ class ArgParser {
   std::vector<std::string> positional_;
 };
 
+/// The body of a binary's main() behind the one usage-error guard:
+/// run(argc, argv)'s return code passes through, and an exception
+/// escaping it becomes an exit code instead of an abort.
+/// std::invalid_argument (a malformed flag, --code or --decoder value;
+/// ContractViolation is one) prints "error: <what>" to stderr and
+/// returns 2; any other std::exception prints "fatal: <what>" and
+/// returns 1.
+int GuardedMain(int argc, char** argv, int (*run)(int, char**));
+
 }  // namespace cldpc

@@ -22,11 +22,11 @@
 #include <vector>
 
 #include "channel/awgn.hpp"
+#include "engine/sim_engine.hpp"
 #include "ldpc/core/registry.hpp"
 #include "ldpc/core/syndrome_tracker.hpp"
 #include "ldpc/encoder.hpp"
 #include "qc/small_codes.hpp"
-#include "sim/ber_runner.hpp"
 #include "util/rng.hpp"
 
 namespace cldpc::ldpc {
@@ -489,8 +489,8 @@ TEST(BatchedDecoder, EngineCurveIdenticalToScalarSpec) {
   const auto run = [&](std::size_t threads, const std::string& spec) {
     auto cfg = config;
     cfg.threads = threads;
-    sim::BerRunner runner(code, encoder, cfg);
-    return runner.RunSpec(spec);
+    return engine::SimEngine(code, encoder, cfg)
+        .Run(MakeDecoderFactory(code, spec));
   };
 
   const auto scalar = run(1, "layered-nms:iters=12,alpha=1.23");

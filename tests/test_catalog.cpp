@@ -10,8 +10,9 @@
 #include "codes/alist.hpp"
 #include "codes/crc.hpp"
 #include "codes/ft8.hpp"
+#include "engine/sim_engine.hpp"
+#include "ldpc/core/registry.hpp"
 #include "qc/small_codes.hpp"
-#include "sim/ber_runner.hpp"
 #include "util/contracts.hpp"
 
 namespace cldpc::codes {
@@ -236,8 +237,8 @@ TEST(Catalog, Ft8EngineThreadCountInvariance) {
   for (const char* spec :
        {"nms:iters=20", "layered-nms:batch=8", "fixed-layered-nms"}) {
     config.threads = 1;
-    sim::BerRunner single(*cat.code, *cat.encoder, config);
-    const auto curve1 = single.RunSpec(spec);
+    const auto curve1 = engine::SimEngine(*cat.code, *cat.encoder, config)
+                            .Run(ldpc::MakeDecoderFactory(*cat.code, spec));
     EXPECT_TRUE(curve1.has_frame_check) << spec;
     ASSERT_EQ(curve1.points.size(), 2u);
     // The CRC verdict is tracked for every frame of the point.
@@ -246,8 +247,9 @@ TEST(Catalog, Ft8EngineThreadCountInvariance) {
 
     for (const std::size_t threads : {2, 4}) {
       config.threads = threads;
-      sim::BerRunner multi(*cat.code, *cat.encoder, config);
-      const auto curve_n = multi.RunSpec(spec);
+      const auto curve_n =
+          engine::SimEngine(*cat.code, *cat.encoder, config)
+              .Run(ldpc::MakeDecoderFactory(*cat.code, spec));
       ExpectIdentical(curve1, curve_n);
     }
   }

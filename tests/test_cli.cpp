@@ -163,5 +163,37 @@ TEST(ArgParser, HasDetectsPresence) {
   EXPECT_FALSE(args.Has("y"));
 }
 
+TEST(GuardedMain, PassesTheReturnCodeThrough) {
+  EXPECT_EQ(GuardedMain(0, nullptr, [](int, char**) { return 0; }), 0);
+  EXPECT_EQ(GuardedMain(0, nullptr, [](int, char**) { return 7; }), 7);
+}
+
+TEST(GuardedMain, InvalidArgumentExitsTwo) {
+  EXPECT_EQ(GuardedMain(0, nullptr,
+                        [](int, char**) -> int {
+                          throw std::invalid_argument("bad value");
+                        }),
+            2);
+  // The real path: a malformed flag value read through ArgParser.
+  char prog[] = "prog";
+  char snrs[] = "--snrs=abc";
+  char* argv[] = {prog, snrs};
+  EXPECT_EQ(GuardedMain(2, argv,
+                        [](int argc, char** argv) {
+                          const ArgParser args(argc, argv);
+                          return static_cast<int>(
+                              args.GetDoubleList("snrs", {}).size());
+                        }),
+            2);
+}
+
+TEST(GuardedMain, OtherExceptionsExitOne) {
+  EXPECT_EQ(GuardedMain(0, nullptr,
+                        [](int, char**) -> int {
+                          throw std::runtime_error("disk full");
+                        }),
+            1);
+}
+
 }  // namespace
 }  // namespace cldpc

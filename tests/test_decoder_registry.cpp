@@ -18,13 +18,13 @@
 
 #include "channel/awgn.hpp"
 #include "engine/decoder_pool.hpp"
+#include "engine/sim_engine.hpp"
 #include "ldpc/encoder.hpp"
 #include "ldpc/fixed_layered_decoder.hpp"
 #include "ldpc/fixed_minsum_decoder.hpp"
 #include "ldpc/layered_decoder.hpp"
 #include "ldpc/minsum_decoder.hpp"
 #include "qc/small_codes.hpp"
-#include "sim/ber_runner.hpp"
 #include "util/rng.hpp"
 
 namespace cldpc::ldpc {
@@ -457,8 +457,9 @@ TEST(Equivalence, FixedLayeredMatchesPreRefactorReference) {
 }
 
 TEST(Equivalence, RunSpecMatchesHandConstructedRun) {
-  // BerRunner::RunSpec must produce the identical curve the
-  // hand-constructed factory produces (same engine, same seeds).
+  // A spec's factory must produce the identical curve the
+  // hand-constructed factory produces (same engine, same seeds), and
+  // the curve carries the spec decoder's canonical Name().
   const auto& code = SmallCode();
   static const Encoder encoder(code);
   sim::BerConfig config;
@@ -467,14 +468,16 @@ TEST(Equivalence, RunSpecMatchesHandConstructedRun) {
   config.min_frame_errors = 12;
   config.threads = 2;
   config.batch_frames = 3;
-  sim::BerRunner runner(code, encoder, config);
+  engine::SimEngine sim(code, encoder, config);
 
-  auto by_spec = runner.RunSpec("layered-nms:iters=12,alpha=1.23");
+  const std::string spec = "layered-nms:iters=12,alpha=1.23";
+  auto by_spec = sim.Run(MakeDecoderFactory(code, spec));
+  EXPECT_EQ(by_spec.decoder_name, MakeDecoder(code, spec)->Name());
   MinSumOptions o;
   o.iter.max_iterations = 12;
   o.alpha = 1.23;
-  auto by_hand = runner.Run(
-      [&] { return std::make_unique<LayeredMinSumDecoder>(code, o); });
+  auto by_hand =
+      sim.Run([&] { return std::make_unique<LayeredMinSumDecoder>(code, o); });
 
   ASSERT_EQ(by_spec.points.size(), by_hand.points.size());
   for (std::size_t i = 0; i < by_spec.points.size(); ++i) {

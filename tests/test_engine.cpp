@@ -16,7 +16,6 @@
 #include "ldpc/core/registry.hpp"
 #include "ldpc/minsum_decoder.hpp"
 #include "qc/small_codes.hpp"
-#include "sim/ber_runner.hpp"
 #include "util/contracts.hpp"
 
 namespace cldpc::engine {
@@ -73,9 +72,8 @@ TEST(SimEngine, MatchesSequentialRunnerForAnyThreadCount) {
   config.min_frame_errors = 1000;  // never reached
   config.base_seed = 7;
 
-  sim::BerRunner runner(f.code, f.encoder, config);
-  ldpc::MinSumDecoder dec(f.code, DecOpts());
-  const auto reference = runner.Run(dec);
+  // threads = 1 at the default batch size.
+  const auto reference = SimEngine(f.code, f.encoder, config).Run(Factory());
 
   for (const std::size_t threads : {1u, 2u, 3u, 8u}) {
     for (const std::uint64_t batch : {1u, 5u, 16u, 64u}) {
@@ -96,9 +94,7 @@ TEST(SimEngine, EarlyStopIsIdenticalToSequentialRunner) {
   config.min_frame_errors = 5;
   config.base_seed = 11;
 
-  sim::BerRunner runner(f.code, f.encoder, config);
-  ldpc::MinSumDecoder dec(f.code, DecOpts(5));
-  const auto reference = runner.Run(dec);
+  const auto reference = SimEngine(f.code, f.encoder, config).Run(Factory(5));
   ASSERT_EQ(reference.points[0].frame_errors.errors(), 5u);
   ASSERT_LT(reference.points[0].frames, config.max_frames);
 
@@ -124,8 +120,7 @@ TEST(SimEngine, CallbackFiresInSequentialOrder) {
   std::vector<Event> sequential;
   {
     SimEngine sim(f.code, f.encoder, config);
-    ldpc::MinSumDecoder dec(f.code, DecOpts());
-    sim.Run(dec, [&sequential](std::size_t s, std::uint64_t fr, bool e) {
+    sim.Run(Factory(), [&sequential](std::size_t s, std::uint64_t fr, bool e) {
       sequential.emplace_back(s, fr, e);
     });
   }
@@ -148,14 +143,15 @@ TEST(SimEngine, BerRunnerFactoryOverloadUsesConfiguredThreads) {
   config.max_frames = 30;
   config.base_seed = 42;
 
-  sim::BerRunner sequential_runner(f.code, f.encoder, config);
-  ldpc::MinSumDecoder dec(f.code, DecOpts());
-  const auto reference = sequential_runner.Run(dec);
+  const auto reference = SimEngine(f.code, f.encoder, config).Run(Factory());
 
   config.threads = 3;
-  sim::BerRunner parallel_runner(f.code, f.encoder, config);
-  const auto curve = parallel_runner.Run(Factory());
-  ExpectIdentical(curve, reference);
+  obs::MetricsRegistry metrics;
+  config.metrics = &metrics;
+  ExpectIdentical(SimEngine(f.code, f.encoder, config).Run(Factory()),
+                  reference);
+  // One metric shard per worker, plus the in-order commit's.
+  EXPECT_EQ(metrics.shard_count(), 4u);
 }
 
 TEST(SimEngine, AllZeroCodewordModeIsThreadCountInvariant) {
@@ -245,8 +241,7 @@ sim::BerCurve OracleCurve(sim::BerConfig config) {
   auto& f = Shared();
   config.threads = 1;
   config.batch_frames = 1;
-  const auto decoder = ldpc::MakeDecoder(f.code, kOracleSpec);
-  return SimEngine(f.code, f.encoder, config).Run(*decoder);
+  return SimEngine(f.code, f.encoder, config).Run(SpecFactory(kOracleSpec));
 }
 
 /// ExpectIdentical minus the decoder name (the i8 and int32 decoders

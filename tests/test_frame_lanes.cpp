@@ -183,14 +183,14 @@ TEST(FrameLanes, EngineBitErrorsMatchIndexListCount) {
   const auto system = codes::LoadCode("medium");
   const auto& code = *system.code;
   const std::size_t n = code.n();
-  const auto decoder =
-      ldpc::MakeDecoder(code, ldpc::DecoderSpec::Parse("layered-nms"));
+  const auto factory = ldpc::MakeDecoderFactory(code, "layered-nms");
+  const auto decoder = factory();
   for (const bool info_only : {true, false}) {
     auto config = SweepConfig();
     config.ebn0_db = {1.0};
     config.info_bits_only = info_only;
     const auto curve =
-        engine::SimEngine(code, *system.encoder, config).Run(*decoder);
+        engine::SimEngine(code, *system.encoder, config).Run(factory);
 
     std::vector<std::size_t> counted = code.InfoCols();
     if (!info_only) {

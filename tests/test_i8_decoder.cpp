@@ -32,13 +32,13 @@
 #include <vector>
 
 #include "channel/awgn.hpp"
+#include "engine/sim_engine.hpp"
 #include "ldpc/core/dispatch.hpp"
 #include "ldpc/core/registry.hpp"
 #include "ldpc/encoder.hpp"
 #include "ldpc/fixed_layered_decoder.hpp"
 #include "obs/decode_sink.hpp"
 #include "qc/small_codes.hpp"
-#include "sim/ber_runner.hpp"
 #include "util/contracts.hpp"
 #include "util/rng.hpp"
 
@@ -257,8 +257,8 @@ TEST(I8Decoder, EngineCurveIdenticalToInt32FixedSpec) {
   const auto run = [&](std::size_t threads, const std::string& spec) {
     auto cfg = config;
     cfg.threads = threads;
-    sim::BerRunner runner(code, encoder, cfg);
-    return runner.RunSpec(spec);
+    return engine::SimEngine(code, encoder, cfg)
+        .Run(MakeDecoderFactory(code, spec));
   };
 
   const auto scalar = run(1, "fixed-layered-nms:iters=12");

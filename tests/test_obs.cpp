@@ -14,11 +14,12 @@
 #include <utility>
 #include <vector>
 
+#include "engine/sim_engine.hpp"
+#include "ldpc/core/registry.hpp"
 #include "obs/alloc_probe.hpp"
 #include "obs/decode_sink.hpp"
 #include "obs/export.hpp"
 #include "qc/small_codes.hpp"
-#include "sim/ber_runner.hpp"
 #include "util/contracts.hpp"
 
 namespace cldpc::obs {
@@ -155,8 +156,8 @@ sim::BerCurve RunWith(sim::BerConfig config, MetricsRegistry* reg,
                       const std::string& spec = "layered-nms:iters=10") {
   auto& f = Shared();
   config.metrics = reg;
-  sim::BerRunner runner(f.code, f.encoder, config);
-  return runner.RunSpec(spec);
+  return engine::SimEngine(f.code, f.encoder, config)
+      .Run(ldpc::MakeDecoderFactory(f.code, spec));
 }
 
 void ExpectIdentical(const sim::BerCurve& a, const sim::BerCurve& b) {

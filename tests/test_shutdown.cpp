@@ -5,11 +5,13 @@
 #include "util/shutdown.hpp"
 
 #include <atomic>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "codes/catalog.hpp"
-#include "sim/ber_runner.hpp"
+#include "engine/sim_engine.hpp"
+#include "ldpc/core/registry.hpp"
 
 namespace cldpc {
 namespace {
@@ -46,6 +48,13 @@ class EngineCancelTest : public ::testing::Test {
     return config;
   }
 
+  /// One sweep of `spec` through the engine.
+  sim::BerCurve Run(const sim::BerConfig& config, const std::string& spec,
+                    const sim::FrameCallback& on_frame = {}) const {
+    return engine::SimEngine(*system_.code, *system_.encoder, config)
+        .Run(ldpc::MakeDecoderFactory(*system_.code, spec), on_frame);
+  }
+
   codes::CatalogCode system_;
 };
 
@@ -53,8 +62,7 @@ TEST_F(EngineCancelTest, PreArmedCancelStopsBeforeAnyWork) {
   std::atomic<bool> cancel{true};
   auto config = BaseConfig();
   config.cancel = &cancel;
-  sim::BerRunner runner(*system_.code, *system_.encoder, config);
-  const auto curve = runner.RunSpec("nms:iters=4");
+  const auto curve = Run(config, "nms:iters=4");
   // Cancelled before the first point: nothing measured, no crash.
   std::uint64_t frames = 0;
   for (const auto& point : curve.points) frames += point.frames;
@@ -64,8 +72,7 @@ TEST_F(EngineCancelTest, PreArmedCancelStopsBeforeAnyWork) {
 TEST_F(EngineCancelTest, NullCancelRunsToCompletion) {
   auto config = BaseConfig();
   ASSERT_EQ(config.cancel, nullptr);  // default: no cancel wiring
-  sim::BerRunner runner(*system_.code, *system_.encoder, config);
-  const auto curve = runner.RunSpec("nms:iters=4");
+  const auto curve = Run(config, "nms:iters=4");
   ASSERT_EQ(curve.points.size(), 3u);
   for (const auto& point : curve.points) EXPECT_EQ(point.frames, 40u);
 }
@@ -77,9 +84,8 @@ TEST_F(EngineCancelTest, MidRunCancelKeepsPartialResults) {
   std::atomic<bool> cancel{false};
   auto config = BaseConfig();
   config.cancel = &cancel;
-  sim::BerRunner runner(*system_.code, *system_.encoder, config);
-  const auto curve = runner.RunSpec(
-      "nms:iters=4", [&cancel](std::size_t, std::uint64_t, bool) {
+  const auto curve = Run(
+      config, "nms:iters=4", [&cancel](std::size_t, std::uint64_t, bool) {
         cancel.store(true, std::memory_order_release);
       });
   std::uint64_t frames = 0;
@@ -89,7 +95,7 @@ TEST_F(EngineCancelTest, MidRunCancelKeepsPartialResults) {
 }
 
 TEST_F(EngineCancelTest, SequentialCancelStopsAtBatchBoundary) {
-  // Granularity lock for the sequential path: a cancel armed while a
+  // Granularity lock, shown on a threads=1 run: a cancel armed while a
   // batch is being consumed takes effect at the NEXT batch boundary —
   // the point keeps exactly the batch in flight, never runs to the
   // point cap. dist/ checkpoint-on-cancel (shard_runner, sweep) sizes
@@ -100,9 +106,8 @@ TEST_F(EngineCancelTest, SequentialCancelStopsAtBatchBoundary) {
   config.max_frames = 60;
   config.batch_frames = 10;
   config.cancel = &cancel;
-  sim::BerRunner runner(*system_.code, *system_.encoder, config);
-  const auto curve = runner.RunSpec(
-      "nms:iters=4", [&cancel](std::size_t, std::uint64_t frame, bool) {
+  const auto curve = Run(
+      config, "nms:iters=4", [&cancel](std::size_t, std::uint64_t frame, bool) {
         if (frame == 0) cancel.store(true, std::memory_order_release);
       });
   ASSERT_EQ(curve.points.size(), 1u);
@@ -114,8 +119,7 @@ TEST_F(EngineCancelTest, ParallelEngineHonoursCancelIdentically) {
   auto config = BaseConfig();
   config.cancel = &cancel;
   config.threads = 2;
-  sim::BerRunner runner(*system_.code, *system_.encoder, config);
-  const auto curve = runner.RunSpec("nms:iters=4");
+  const auto curve = Run(config, "nms:iters=4");
   std::uint64_t frames = 0;
   for (const auto& point : curve.points) frames += point.frames;
   EXPECT_EQ(frames, 0u);
