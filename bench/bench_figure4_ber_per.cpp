@@ -78,9 +78,15 @@ int RunMain(int argc, char** argv) {
   std::vector<sim::BerCurve> curves;
 
   if (args.Has("decoder")) {
-    for (const auto& spec : args.GetStringList("decoder", {})) {
-      std::printf("Running %s...\n", spec.c_str());
-      curves.push_back(sim.Run(ldpc::MakeDecoderFactory(*system.code, spec)));
+    // Build (and so validate) every spec's factory before the first
+    // curve runs: a typo in the last spec must cost no sweep.
+    const auto specs = args.GetStringList("decoder", {});
+    std::vector<engine::DecoderFactory> factories;
+    for (const auto& spec : specs)
+      factories.push_back(ldpc::MakeDecoderFactory(*system.code, spec));
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      std::printf("Running %s...\n", specs[i].c_str());
+      curves.push_back(sim.Run(factories[i]));
     }
   } else {
     // The default Figure-4 suite, built through the registry seam.

@@ -174,10 +174,16 @@ int RunMain(int argc, char** argv) {
       curves[1].decoder_name = "float NMS-18";
     }
   } else if (args.Has("decoder")) {
-    for (const auto& spec : args.GetStringList("decoder", {})) {
+    // Build (and so validate) every spec's factory before the first
+    // curve runs: a typo in the last spec must cost no sweep.
+    const auto specs = args.GetStringList("decoder", {});
+    std::vector<engine::DecoderFactory> factories;
+    for (const auto& spec : specs)
+      factories.push_back(ldpc::MakeDecoderFactory(code, spec));
+    for (std::size_t i = 0; i < specs.size(); ++i) {
       if (util::ShutdownRequested()) break;
-      std::printf("Running %s...\n", spec.c_str());
-      curves.push_back(sim.Run(ldpc::MakeDecoderFactory(code, spec), on_frame));
+      std::printf("Running %s...\n", specs[i].c_str());
+      curves.push_back(sim.Run(factories[i], on_frame));
     }
   } else {
     // Default comparison, built through the same registry seam: the

@@ -3,7 +3,7 @@
 // Robustness claims are only as good as the failure modes they were
 // tested against, so the service (and its load generator) can inject:
 //
-//   - worker stalls        a worker sleeps before decoding a batch,
+//   - worker stalls        a worker sleeps after pulling frames,
 //                          building real queue pressure (exercises
 //                          watermark shedding and admission rejects);
 //   - malformed frames     the load generator corrupts a request
@@ -43,7 +43,7 @@ struct FaultPlan {
   /// plan.
   std::uint64_t seed = 0;
 
-  std::uint32_t stall_permille = 0;          // per decode batch
+  std::uint32_t stall_permille = 0;          // per non-empty pull
   std::uint32_t stall_us = 2000;             // stall length
   std::uint32_t malformed_permille = 0;      // per generated frame
   std::uint32_t decode_throw_permille = 0;   // per frame
@@ -67,7 +67,8 @@ class FaultInjector {
   const FaultPlan& plan() const { return plan_; }
   bool armed() const { return plan_.any(); }
 
-  /// Should the worker stall before decoding batch `batch_id`?
+  /// Should the worker stall on its pull `batch_id` (the service
+  /// numbers its non-empty pulls)?
   bool StallBatch(std::uint64_t batch_id) const;
   /// Should the generator emit frame `frame_id` malformed?
   bool MalformFrame(std::uint64_t frame_id) const;

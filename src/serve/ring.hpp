@@ -1,6 +1,6 @@
 // Bounded lock-free ring buffer for the decode service's admission
-// queue (Vyukov's bounded MPMC algorithm, used here as MPSC: many
-// client threads push, the service's single dispatcher pops).
+// queue (Vyukov's bounded MPMC algorithm: many client threads push,
+// the service's decode workers pop).
 //
 // The ring is the service's admission-control seam: capacity is fixed
 // at construction and TryPush FAILS — immediately, without blocking —
@@ -12,11 +12,11 @@
 //
 // Concurrency: any number of threads may call TryPush concurrently
 // with each other and with TryPop; TryPop may also be called from
-// several threads (full MPMC), though the service only ever has one
-// consumer. Each cell carries a sequence counter; a producer claims a
-// slot with one CAS on the tail and publishes the value with a
-// release store of the sequence, which the consumer acquires before
-// reading — no locks, no spurious blocking, TSan-clean.
+// several threads (full MPMC) — every decode worker is a consumer.
+// Each cell carries a sequence counter; a producer claims a slot with
+// one CAS on the tail and publishes the value with a release store of
+// the sequence, which the consumer acquires before reading — no
+// locks, no spurious blocking, TSan-clean.
 #pragma once
 
 #include <algorithm>

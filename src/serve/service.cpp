@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "ldpc/core/registry.hpp"
+#include "obs/decode_sink.hpp"
 #include "obs/journal.hpp"
 #include "util/contracts.hpp"
 
@@ -97,7 +98,7 @@ struct DecodeService::Metrics {
       responses_dropped, faults_injected, check_accepted, check_rejected;
   obs::CounterId tiers[kNumShedTiers];
   obs::HistogramId admission_us, decode_us, queue_depth;
-  std::size_t dispatcher_shard;
+  obs::DecodeMetricIds decode;
 
   Metrics(obs::MetricsRegistry& r, std::size_t workers) : reg(&r) {
     using D = obs::Determinism;
@@ -120,12 +121,205 @@ struct DecodeService::Metrics {
     admission_us = r.Hist("serve.admission_us", D::kWallClock, "us");
     decode_us = r.Hist("serve.decode_us", D::kWallClock, "us");
     queue_depth = r.Hist("serve.queue_depth", D::kScheduling, "frames");
-    // Worker w records into shard w; the dispatcher (and the Stop-
-    // time counter flush, which runs after the dispatcher joined)
-    // into the shard behind them.
+    decode = obs::RegisterDecodeMetrics(r);
+    // Worker w records into shard w; the counter flush
+    // (SyncMetricsCounters) stores into shard `workers`, behind them.
     r.SetShardCount(workers + 1);
-    dispatcher_shard = workers;
   }
+};
+
+// One worker's FrameFeed over the admission ring. A pull pops what
+// the worker has room for, does the pop-time work on each frame
+// (occupancy sample, admission latency, deadline and shutdown
+// shedding, the req.queue span, the fault oracle), and stages the
+// surviving frames for the lanes in one chunk — one lane load per
+// refill, however many lanes it fills. Each frame is held until
+// Deliver answers it.
+class DecodeService::WorkerFeed final : public ldpc::FrameFeed {
+ public:
+  WorkerFeed(DecodeService& service, std::size_t worker)
+      : svc_(service),
+        worker_(worker),
+        shard_(service.metrics_ ? &service.metrics_->reg->shard(worker)
+                                : nullptr) {}
+
+  ldpc::FrameChunk Pull(std::size_t max_frames, bool idle) override {
+    const std::size_t first = held_.size();
+    const std::size_t room =
+        std::min(max_frames, svc_.config_.max_batch - first);
+    Request request;
+    std::size_t occupancy = 0;
+    while (!switching_ && held_.size() - first < room) {
+      occupancy = svc_.ring_.SizeApprox();
+      const int tier =
+          TierFor(svc_.config_.shed, occupancy, svc_.ring_.capacity());
+      if (tier != tier_) {
+        // A stream runs at one tier: stop pulling, let the lanes
+        // drain, and restart on the new tier's decoder.
+        switching_ = true;
+        next_tier_ = tier;
+      } else if (svc_.ring_.TryPop(request)) {
+        Take(request, occupancy);
+      } else if (held_.size() != first || !idle) {
+        break;  // frames in lanes never block: stage what there is
+      } else if (svc_.stopping_.load(std::memory_order_acquire) &&
+                 svc_.ring_.SizeApprox() == 0) {
+        finished_ = true;  // idle, stopping and drained: end the stream
+        break;
+      } else {
+        std::unique_lock<std::mutex> lock(svc_.doorbell_mutex_);
+        svc_.doorbell_.wait_for(lock, std::chrono::milliseconds(10), [this] {
+          return svc_.stopping_.load(std::memory_order_relaxed) ||
+                 svc_.ring_.SizeApprox() != 0;
+        });
+      }
+    }
+    const std::size_t count = held_.size() - first;
+    if (count == 0) return {};
+    const ServiceConfig& config = svc_.config_;
+    if (config.journal != nullptr &&
+        svc_.journal_last_tier_.exchange(tier_) != tier_)
+      config.journal->Append(
+          "tier_change", "serve",
+          {{"tier", tier_},
+           {"occupancy", static_cast<std::int64_t>(occupancy)}});
+    const std::uint64_t pull_id =
+        svc_.pull_counter_.fetch_add(1, std::memory_order_relaxed);
+    if (svc_.faults_.StallBatch(pull_id)) {
+      svc_.faults_injected_.fetch_add(1, std::memory_order_relaxed);
+      if (config.journal != nullptr)
+        config.journal->Append(
+            "fault_stall", "serve",
+            {{"batch_id", pull_id},
+             {"stall_us",
+              static_cast<std::int64_t>(config.faults.stall_us)}});
+      std::this_thread::sleep_for(
+          std::chrono::microseconds(config.faults.stall_us));
+    }
+    const std::size_t n = svc_.code_.n();
+    if (staged_.size() < count * n) staged_.resize(count * n);
+    for (std::size_t i = 0; i < count; ++i)
+      std::copy(held_[first + i].llrs.begin(), held_[first + i].llrs.end(),
+                staged_.begin() + static_cast<std::ptrdiff_t>(i * n));
+    return {{staged_.data(), count * n}, count};
+  }
+
+  bool Deliver(std::uint64_t seq, const ldpc::DecodeResult& result) override {
+    const auto it =
+        std::find_if(held_.begin(), held_.end(),
+                     [seq](const Request& r) { return r.seq == seq; });
+    CLDPC_EXPECTS(it != held_.end(), "delivered a frame never pulled");
+    svc_.Finish(*it, Status::kOk, tier_, shard_, &result);
+    *it = std::move(held_.back());
+    held_.pop_back();
+    return true;
+  }
+
+  std::uint64_t Remaining() const override {
+    return svc_.config_.max_batch - held_.size();
+  }
+
+  /// After a stream threw: decode every held frame on its own, so
+  /// only frames whose own decode throws fail.
+  void Contain(ldpc::Decoder& decoder) {
+    for (Request& request : std::exchange(held_, {})) {
+      std::vector<ldpc::DecodeResult> single;
+      try {
+        // The oracle is re-checked without re-counting: the fault was
+        // counted and journaled once, where its frame was pulled.
+        if (!svc_.faults_.ThrowInDecode(request.id))
+          single = decoder.DecodeBatch(request.llrs, 1);
+      } catch (...) {
+        single.clear();
+      }
+      svc_.Finish(request, single.empty() ? Status::kFailed : Status::kOk,
+                  tier_, shard_, single.empty() ? nullptr : &single[0]);
+    }
+  }
+
+  /// The worker: stream after stream, until Stop has drained the ring.
+  void Run() {
+    // The decoders' lane probes report through this thread-local sink.
+    obs::ScopedDecodeSink sink(
+        shard_, svc_.metrics_ ? &svc_.metrics_->decode : nullptr);
+    while (!finished_) {
+      ldpc::Decoder& decoder =
+          svc_.tier_pools_[static_cast<std::size_t>(tier_)]->Get(worker_);
+      try {
+        decoder.DecodeStream(*this);
+      } catch (...) {
+        // Containment: a throwing stream must not take down its
+        // innocent lane neighbours (or the worker). A stream that
+        // threw before holding a frame still takes one (or sees Stop),
+        // so a decoder that cannot even start never wedges the worker.
+        try {
+          if (held_.empty()) Pull(1, /*idle=*/true);
+        } catch (...) {
+        }
+        Contain(decoder);
+      }
+      // The next stream numbers its frames from 0 again, at the tier
+      // this one switched to.
+      if (switching_) tier_ = next_tier_;
+      switching_ = false;
+      next_seq_ = 0;
+    }
+  }
+
+ private:
+  /// Pop-time work on a frame just taken from the ring: shed it, or
+  /// hold it. An injected fault throws here, mid-stream, once its
+  /// frame is held (so Contain answers it).
+  void Take(Request& request, std::size_t occupancy) {
+    const ServiceConfig& config = svc_.config_;
+    const auto now = ServiceClock::now();
+    const std::int64_t waited = ElapsedUs(request.submitted, now);
+    if (shard_ != nullptr) {
+      shard_->Record(svc_.metrics_->queue_depth,
+                     static_cast<std::int64_t>(occupancy));
+      shard_->Record(svc_.metrics_->admission_us, waited);
+    }
+    request.dequeued = now;
+    // Deadline shedding spends no decode work and ignores the tier;
+    // under drain-on-stop it keeps applying, so a backed-up ring
+    // drains at shed speed, not decode speed.
+    Status shed = Status::kOk;
+    if (now >= request.deadline)
+      shed = Status::kShedExpired;
+    else if (svc_.stopping_.load(std::memory_order_acquire) &&
+             !config.drain_on_stop)
+      shed = Status::kShedShutdown;
+    if (request.trace_sampled)
+      svc_.EmitSpan(shard_, "req.queue", waited, request.trace_id, tier_,
+                    shed == Status::kOk ? kSpanProceed
+                                        : static_cast<int>(shed));
+    if (shed != Status::kOk) {
+      svc_.Finish(request, shed, tier_, shard_);
+      return;
+    }
+    const std::uint64_t id = request.id;
+    request.seq = next_seq_++;
+    held_.push_back(std::move(request));
+    if (svc_.faults_.ThrowInDecode(id)) {
+      svc_.faults_injected_.fetch_add(1, std::memory_order_relaxed);
+      // Journaled here and ONLY here, so journaled fault events equal
+      // stats.faults_injected exactly.
+      if (config.journal != nullptr)
+        config.journal->Append("fault_throw", "serve", {{"frame_id", id}});
+      throw InjectedDecodeError(id);
+    }
+  }
+
+  DecodeService& svc_;
+  const std::size_t worker_;
+  obs::Shard* const shard_;
+  std::vector<Request> held_;  // pulled, not yet answered
+  std::vector<double> staged_;  // the last chunk, <= max_batch frames
+  std::uint64_t next_seq_ = 0;
+  int tier_ = 0;
+  int next_tier_ = 0;
+  bool switching_ = false;  // tier changed: drain, then restart
+  bool finished_ = false;   // stopping and drained: the worker exits
 };
 
 DecodeService::DecodeService(const ldpc::LdpcCode& code, ServiceConfig config)
@@ -148,19 +342,17 @@ DecodeService::DecodeService(const ldpc::LdpcCode& code, ServiceConfig config)
         SpecWithBudget(base, BudgetForTier(config_.shed, base_iters, tier)));
   }
   for (const auto& spec : tier_specs_) {
-    // Validates kind/params/code compatibility now; the per-worker
-    // instances are still constructed lazily by the pools below.
-    (void)ldpc::MakeDecoder(code_, spec);
+    // The factory validates kind/params/code compatibility now; the
+    // per-worker instances are still constructed lazily by the pools.
     tier_pools_.push_back(std::make_unique<engine::DecoderPool>(
         ldpc::MakeDecoderFactory(code_, spec), config_.workers));
   }
 
-  for (auto& t : tier_frames_) t.store(0, std::memory_order_relaxed);
   if (config_.metrics != nullptr)
     metrics_ = std::make_unique<Metrics>(*config_.metrics, config_.workers);
 
-  pool_ = std::make_unique<engine::ThreadPool>(config_.workers);
-  dispatcher_ = std::thread(&DecodeService::DispatcherLoop, this);
+  for (std::size_t w = 0; w < config_.workers; ++w)
+    workers_.emplace_back([this, w] { WorkerFeed(*this, w).Run(); });
 }
 
 DecodeService::~DecodeService() { Stop(); }
@@ -220,159 +412,18 @@ Admission DecodeService::Submit(DecodeClient& client, std::uint64_t id,
   return Admission::kAdmitted;
 }
 
-void DecodeService::DispatcherLoop() {
-  // Decode jobs in flight at the pool. Capped so admitted frames
-  // outside the ring stay O(workers * max_batch): the ThreadPool's
-  // internal queue is unbounded, and letting the dispatcher run ahead
-  // would silently re-create the unbounded queue the ring exists to
-  // prevent.
-  std::atomic<std::size_t> inflight{0};
-  const std::size_t max_inflight = 2 * config_.workers;
-
-  for (;;) {
-    {
-      std::unique_lock<std::mutex> lock(doorbell_mutex_);
-      doorbell_.wait_for(lock, std::chrono::milliseconds(10), [&] {
-        return stopping_.load(std::memory_order_relaxed) ||
-               (ring_.SizeApprox() != 0 &&
-                inflight.load(std::memory_order_relaxed) < max_inflight);
-      });
-    }
-    if (inflight.load(std::memory_order_acquire) >= max_inflight) continue;
-
-    // Sample occupancy BEFORE claiming: the tier decision reflects
-    // the pressure this batch leaves behind in the queue.
-    const std::size_t occupancy = ring_.SizeApprox();
-    std::vector<Request> batch;
-    Request request;
-    while (batch.size() < config_.max_batch && ring_.TryPop(request))
-      batch.push_back(std::move(request));
-
-    if (batch.empty()) {
-      if (stopping_.load(std::memory_order_acquire)) {
-        // Drained (or nothing was admitted): wait for in-flight
-        // decode jobs, then exit. Late racers are swept by Stop().
-        while (inflight.load(std::memory_order_acquire) != 0)
-          std::this_thread::yield();
-        return;
-      }
-      continue;  // doorbell timeout keeps idle latency <= ~200us
-    }
-
-    const int tier = TierFor(config_.shed, occupancy, ring_.capacity());
-    const auto now = ServiceClock::now();
-    if (config_.journal != nullptr && tier != journal_last_tier_) {
-      config_.journal->Append(
-          "tier_change", "serve",
-          {{"tier", tier},
-           {"occupancy", static_cast<std::int64_t>(occupancy)}});
-      journal_last_tier_ = tier;
-    }
-    obs::Shard* dispatcher_shard =
-        metrics_ ? &metrics_->reg->shard(metrics_->dispatcher_shard) : nullptr;
-    if (dispatcher_shard) {
-      dispatcher_shard->Record(metrics_->queue_depth,
-                               static_cast<std::int64_t>(occupancy));
-      for (const auto& r : batch)
-        dispatcher_shard->Record(metrics_->admission_us,
-                                 ElapsedUs(r.submitted, now));
-    }
-    for (auto& r : batch) r.dequeued = now;
-
-    // Deadline shedding happens before any decode work is spent and
-    // regardless of tier; under drain-on-stop it keeps applying, so a
-    // backed-up queue drains at shed speed, not decode speed.
-    std::vector<Request> live;
-    live.reserve(batch.size());
-    for (auto& r : batch) {
-      if (now >= r.deadline) {
-        if (r.trace_sampled)
-          EmitSpan(dispatcher_shard, "req.queue",
-                   ElapsedUs(r.submitted, now), r.trace_id, tier,
-                   static_cast<int>(Status::kShedExpired));
-        DecodeResponse response;
-        response.id = r.id;
-        response.status = Status::kShedExpired;
-        response.tier = tier;
-        shed_expired_.fetch_add(1, std::memory_order_relaxed);
-        Finish(r, std::move(response));
-      } else if (stopping_.load(std::memory_order_acquire) &&
-                 !config_.drain_on_stop) {
-        if (r.trace_sampled)
-          EmitSpan(dispatcher_shard, "req.queue",
-                   ElapsedUs(r.submitted, now), r.trace_id, tier,
-                   static_cast<int>(Status::kShedShutdown));
-        DecodeResponse response;
-        response.id = r.id;
-        response.status = Status::kShedShutdown;
-        response.tier = tier;
-        shed_shutdown_.fetch_add(1, std::memory_order_relaxed);
-        Finish(r, std::move(response));
-      } else {
-        if (r.trace_sampled)
-          EmitSpan(dispatcher_shard, "req.queue",
-                   ElapsedUs(r.submitted, now), r.trace_id, tier,
-                   kSpanProceed);
-        live.push_back(std::move(r));
-      }
-    }
-    if (live.empty()) continue;
-
-    const std::uint64_t batch_id =
-        batch_counter_.fetch_add(1, std::memory_order_relaxed);
-    inflight.fetch_add(1, std::memory_order_acq_rel);
-    pool_->Submit([this, moved = std::move(live), tier, batch_id,
-                   &inflight]() mutable {
-      DecodeBatchJob(std::move(moved), tier, batch_id);
-      inflight.fetch_sub(1, std::memory_order_acq_rel);
-      {
-        std::lock_guard<std::mutex> lock(doorbell_mutex_);
-      }
-      doorbell_.notify_one();
-    });
-  }
-}
-
-void DecodeService::DecodeBatchJob(std::vector<Request> batch, int tier,
-                                   std::uint64_t batch_id) {
-  const auto worker =
-      static_cast<std::size_t>(engine::ThreadPool::CurrentWorkerIndex());
-  obs::Shard* shard =
-      metrics_ ? &metrics_->reg->shard(worker) : nullptr;
-
-  if (faults_.StallBatch(batch_id)) {
-    faults_injected_.fetch_add(1, std::memory_order_relaxed);
-    if (config_.journal != nullptr) {
-      config_.journal->Append(
-          "fault_stall", "serve",
-          {{"batch_id", batch_id},
-           {"stall_us", static_cast<std::int64_t>(config_.faults.stall_us)}});
-    }
-    std::this_thread::sleep_for(
-        std::chrono::microseconds(config_.faults.stall_us));
-  }
-
-  auto& decoder = tier_pools_[static_cast<std::size_t>(tier)]->Get(worker);
-  const std::size_t n = code_.n();
-  const std::size_t count = batch.size();
-
-  // Stage the batch contiguous (frame-major) for the one DecodeBatch
-  // call; the batching contract makes per-frame results independent
-  // of this grouping, which is what the service's bit-identity
-  // guarantee rests on.
-  std::vector<double> staged(count * n);
-  for (std::size_t i = 0; i < count; ++i)
-    std::copy(batch[i].llrs.begin(), batch[i].llrs.end(),
-              staged.begin() + static_cast<std::ptrdiff_t>(i * n));
-
-  auto finish_ok = [&](Request& request, ldpc::DecodeResult&& decoded) {
-    DecodeResponse response;
-    response.id = request.id;
-    response.status = Status::kOk;
-    response.bits = std::move(decoded.bits);
-    response.iterations = decoded.iterations_run;
-    response.converged = decoded.converged;
-    response.tier = tier;
+void DecodeService::Finish(Request& request, Status status, int tier,
+                           obs::Shard* shard,
+                           const ldpc::DecodeResult* decoded) {
+  DecodeResponse response;
+  response.id = request.id;
+  response.status = status;
+  response.tier = tier;
+  response.trace_id = request.trace_id;
+  if (status == Status::kOk) {
+    response.bits = decoded->bits;
+    response.iterations = decoded->iterations_run;
+    response.converged = decoded->converged;
     if (config_.frame_check) {
       // The catalog CRC hook: an ok decode whose check fails is still
       // delivered (the caller decides what a failed CRC means), but
@@ -382,7 +433,6 @@ void DecodeService::DecodeBatchJob(std::vector<Request> batch, int tier,
       (response.check_passed ? check_accepted_ : check_rejected_)
           .fetch_add(1, std::memory_order_relaxed);
     }
-    ok_.fetch_add(1, std::memory_order_relaxed);
     tier_frames_[static_cast<std::size_t>(tier)].fetch_add(
         1, std::memory_order_relaxed);
     if (shard) {
@@ -390,67 +440,20 @@ void DecodeService::DecodeBatchJob(std::vector<Request> batch, int tier,
                     ElapsedUs(request.submitted, ServiceClock::now()));
       shard->Add(metrics_->tiers[static_cast<std::size_t>(tier)]);
     }
-    if (request.trace_sampled)
-      EmitSpan(shard, "req.decode",
-               ElapsedUs(request.dequeued, ServiceClock::now()),
-               request.trace_id, tier, static_cast<int>(Status::kOk));
-    Finish(request, std::move(response));
-  };
-  auto finish_failed = [&](Request& request) {
-    DecodeResponse response;
-    response.id = request.id;
-    response.status = Status::kFailed;
-    response.tier = tier;
-    failed_.fetch_add(1, std::memory_order_relaxed);
-    if (request.trace_sampled)
-      EmitSpan(shard, "req.decode",
-               ElapsedUs(request.dequeued, ServiceClock::now()),
-               request.trace_id, tier, static_cast<int>(Status::kFailed));
-    Finish(request, std::move(response));
-  };
-
-  try {
-    // Injected decoder faults throw mid-decode like a genuine bug
-    // would, so the containment path below is exercised for real.
-    for (const auto& request : batch) {
-      if (faults_.ThrowInDecode(request.id)) {
-        faults_injected_.fetch_add(1, std::memory_order_relaxed);
-        // Journaled here and ONLY here (the fallback loop re-checks
-        // the oracle without re-counting), so journaled fault events
-        // equal stats.faults_injected exactly.
-        if (config_.journal != nullptr) {
-          config_.journal->Append("fault_throw", "serve",
-                                  {{"frame_id", request.id}});
-        }
-        throw InjectedDecodeError(request.id);
-      }
-    }
-    auto results = decoder.DecodeBatch(staged, count);
-    for (std::size_t i = 0; i < count; ++i)
-      finish_ok(batch[i], std::move(results[i]));
-  } catch (...) {
-    // Containment: a throwing batch decode must not take down its
-    // innocent neighbors (or the worker). Fall back to frame-by-frame
-    // decodes so only the throwing frames fail.
-    for (std::size_t i = 0; i < count; ++i) {
-      if (faults_.ThrowInDecode(batch[i].id)) {
-        finish_failed(batch[i]);
-        continue;
-      }
-      try {
-        auto single = decoder.DecodeBatch(
-            {staged.data() + i * n, n}, 1);
-        finish_ok(batch[i], std::move(single[0]));
-      } catch (...) {
-        finish_failed(batch[i]);
-      }
-    }
   }
-}
-
-void DecodeService::Finish(Request& request, DecodeResponse&& response) {
-  response.latency_us = ElapsedUs(request.submitted, ServiceClock::now());
-  response.trace_id = request.trace_id;
+  (status == Status::kOk            ? ok_
+   : status == Status::kFailed      ? failed_
+   : status == Status::kShedExpired ? shed_expired_
+                                    : shed_shutdown_)
+      .fetch_add(1, std::memory_order_relaxed);
+  const auto now = ServiceClock::now();
+  // Decode outcomes close the "req.decode" span; a shed frame's only
+  // span is its "req.queue".
+  if (request.trace_sampled &&
+      (status == Status::kOk || status == Status::kFailed))
+    EmitSpan(shard, "req.decode", ElapsedUs(request.dequeued, now),
+             request.trace_id, tier, static_cast<int>(status));
+  response.latency_us = ElapsedUs(request.submitted, now);
   const std::uint64_t id = request.id;
   const std::uint32_t client_id = request.client->id();
   if (!request.client->Deliver(std::move(response)) &&
@@ -487,20 +490,13 @@ void DecodeService::Stop() {
       std::lock_guard<std::mutex> lock(doorbell_mutex_);
     }
     doorbell_.notify_all();
-    dispatcher_.join();
-    pool_->WaitIdle();
-    pool_.reset();  // joins the workers
-    // Sweep frames a racing Submit slipped in after the dispatcher's
+    for (auto& worker : workers_) worker.join();
+    // Sweep frames a racing Submit slipped in after the workers'
     // final empty check: they were admitted, so they must reach a
     // terminal state for the accounting identities to hold.
     Request request;
-    while (ring_.TryPop(request)) {
-      DecodeResponse response;
-      response.id = request.id;
-      response.status = Status::kShedShutdown;
-      shed_shutdown_.fetch_add(1, std::memory_order_relaxed);
-      Finish(request, std::move(response));
-    }
+    while (ring_.TryPop(request))
+      Finish(request, Status::kShedShutdown, 0, nullptr);
     SyncMetricsCounters();
     if (config_.journal != nullptr) {
       const ServiceStats s = Stats();
@@ -538,13 +534,13 @@ ServiceStats DecodeService::Stats() const {
 
 void DecodeService::SyncMetricsCounters() {
   if (!metrics_) return;
-  // Absolute stores into the dispatcher shard (whose counter cells
+  // Absolute stores into the flush shard (whose counter cells
   // nothing else writes): idempotent, so this runs safely both live
   // (snapshot publisher's pre-snapshot hook) and at Stop(). The tier
   // counters are excluded — workers Add those live in their own
   // shards.
   const ServiceStats s = Stats();
-  auto& shard = metrics_->reg->shard(metrics_->dispatcher_shard);
+  auto& shard = metrics_->reg->shard(config_.workers);
   shard.Set(metrics_->submitted, s.submitted);
   shard.Set(metrics_->rejected_full, s.rejected_full);
   shard.Set(metrics_->rejected_malformed, s.rejected_malformed);

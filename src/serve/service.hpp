@@ -1,5 +1,5 @@
 // Persistent, overload-robust decode service on top of the engine's
-// worker machinery (engine::ThreadPool + engine::DecoderPool).
+// per-worker decoder slots (engine::DecoderPool).
 //
 // Batch simulation (engine/sim_engine.hpp) owns its frame supply; a
 // service does not — traffic arrives when clients feel like it, at
@@ -8,29 +8,30 @@
 // decoder, in escalating order of pressure (the full curve is
 // documented in serve/shed.hpp):
 //
-//   1. Admission control. Frames enter through a bounded MPSC ring
+//   1. Admission control. Frames enter through a bounded MPMC ring
 //      (serve/ring.hpp). A full ring rejects the frame immediately
 //      with Admission::kRejectedFull — the service never queues
 //      unboundedly and never blocks a client thread.
-//   2. Deadline shedding. Every request carries a deadline; the
-//      dispatcher drops frames whose deadline already expired before
-//      spending any decode work on them (Status::kShedExpired).
+//   2. Deadline shedding. Every request carries a deadline; a worker
+//      drops frames whose deadline already expired when it pops them,
+//      before spending any decode work on them (Status::kShedExpired).
 //   3. Iteration-budget shedding. Queue occupancy watermarks select a
 //      tier (serve/shed.hpp); higher tiers decode with a shrunken
 //      IterOptions budget, trading a little BER for service rate so
 //      the queue drains instead of collapsing.
 //
-// ## Decode fidelity
+// ## Workers pull the ring; decode fidelity
 //
-// A tier's decoder comes from the same registry spec as the batch
-// path, with only `iters=` overridden to the tier's budget, and
-// frames are decoded through the same DecodeBatch entry point. The
-// batching contract (ldpc/decoder.hpp) makes per-frame results
-// independent of how the dispatcher happened to group frames, so an
-// accepted frame's bits are byte-identical to handing its LLRs to
-// MakeDecoder(code, spec-with-that-budget) directly — tier 0 is
-// byte-identical to the untouched spec. tests/test_serve.cpp locks
-// both.
+// Worker w runs its tier decoder's DecodeStream over a FrameFeed on
+// the ring: a free lane takes the next admitted frame at the next
+// iteration boundary, and each frame is answered the moment its lane
+// finishes. A stream runs at one tier; when a pull's occupancy sample
+// selects another, the lanes drain and the stream restarts on that
+// tier's decoder — the configured registry spec with only `iters=`
+// overridden. The DecodeStream contract (ldpc/decoder.hpp) makes a
+// frame's result independent of what shares its lanes, so accepted
+// frames are byte-identical to MakeDecoder(code, tier_specs()[tier])
+// decoding them directly (locked by tests/test_serve.cpp).
 //
 // ## Accounting
 //
@@ -60,20 +61,20 @@
 // ## Faults, metrics, shutdown
 //
 // A FaultPlan (serve/fault.hpp) injects worker stalls and per-frame
-// decoder exceptions deterministically from its seed. An injected (or
-// genuine) exception in a batch decode is contained: the worker falls
-// back to decoding the batch's frames one by one, so only throwing
-// frames fail (Status::kFailed) and the rest still decode normally.
+// decoder exceptions deterministically from its seed. An injected
+// exception throws out of its frame's pull, mid-stream; the worker
+// then decodes every frame it still holds on its own, so only
+// throwing frames fail (Status::kFailed).
 //
 // With ServiceConfig::metrics set, the service registers the serve.*
 // metric family (counters for every terminal state, tier counters,
-// admission/decode latency and queue-depth histograms — glossary in
-// the README) and exports through the standard cldpc-metrics-v1
-// surface. Counter totals are published with SyncMetricsCounters() —
-// absolute, idempotent stores the snapshot publisher's pre-snapshot
-// hook calls live and Stop() calls once more for the exact finale;
-// live histograms are recorded into per-worker shards like the
-// engine's.
+// admission/decode latency and queue-depth histograms) and the lane
+// decoders' decode.* family — glossary in the README — and exports
+// through the standard cldpc-metrics-v1 surface. Counter totals are
+// published with SyncMetricsCounters() — absolute, idempotent stores
+// the snapshot publisher's pre-snapshot hook calls live and Stop()
+// calls once more for the exact finale; live histograms are recorded
+// into per-worker shards like the engine's.
 //
 // ## Lifecycle tracing and the event journal
 //
@@ -82,8 +83,8 @@
 // trace_sample_every = N, every request whose id satisfies the
 // seed-deterministic sampling rule (trace_id % N == faults.seed % N)
 // emits request-scoped chrome://tracing spans: "req.queue" (submit ->
-// dequeue, dispatcher track) and "req.decode" (dequeue -> terminal,
-// worker track), each carrying trace_id / tier / status args.
+// dequeue) and "req.decode" (dequeue -> terminal), both on the
+// worker's track, each carrying trace_id / tier / status args.
 // Sampling keeps the hot path inside the telemetry overhead budget
 // (bench/OBS_OVERHEAD.md). With ServiceConfig::journal set, discrete
 // transitions (shed-tier changes, client drops, injected faults,
@@ -92,10 +93,10 @@
 // the FaultInjector oracle bit-exactly.
 //
 // Stop() (also run by the destructor) is graceful: admission closes,
-// the dispatcher drains everything already admitted (still applying
-// deadline shedding — or discards it as shed_shutdown when
-// drain_on_stop is false), workers finish in-flight batches, and all
-// counters/metrics are final when Stop returns.
+// the workers finish the frames in their lanes and drain the ring
+// (still applying deadline shedding — or discarding it as
+// shed_shutdown when drain_on_stop is false), and all counters/metrics
+// are final when Stop returns.
 #pragma once
 
 #include <atomic>
@@ -109,7 +110,6 @@
 #include <vector>
 
 #include "engine/decoder_pool.hpp"
-#include "engine/thread_pool.hpp"
 #include "ldpc/code.hpp"
 #include "obs/metrics.hpp"
 #include "serve/fault.hpp"
@@ -167,8 +167,8 @@ struct ServiceConfig {
   std::size_t workers = 1;
   /// Admission ring capacity (rounded up to a power of two).
   std::size_t queue_capacity = 256;
-  /// Max frames the dispatcher groups into one decode batch. Batched
-  /// SIMD specs want this at least their lane count.
+  /// Max undelivered frames one worker holds (and its lane group's
+  /// max width). Batched SIMD specs want this at least their lanes.
   std::size_t max_batch = 8;
   /// Per-client response ring capacity.
   std::size_t client_queue_capacity = 256;
@@ -255,8 +255,8 @@ class DecodeService {
  public:
   /// Validates the decoder spec and shed policy eagerly (throws
   /// std::invalid_argument via the registry for malformed specs), and
-  /// starts the dispatcher and `workers` decode workers. `code` must
-  /// outlive the service.
+  /// starts the `workers` decode workers. `code` must outlive the
+  /// service.
   DecodeService(const ldpc::LdpcCode& code, ServiceConfig config);
   ~DecodeService();
 
@@ -304,13 +304,15 @@ class DecodeService {
     ServiceClock::time_point dequeued{};
     std::uint64_t trace_id = 0;
     bool trace_sampled = false;
+    std::uint64_t seq = 0;  // stream frame number while a worker holds it
   };
-  struct Metrics;  // registered ids; definition local to service.cpp
-
-  void DispatcherLoop();
-  void DecodeBatchJob(std::vector<Request> batch, int tier,
-                      std::uint64_t batch_id);
-  void Finish(Request& request, DecodeResponse&& response);
+  struct Metrics;     // registered ids; definition local to service.cpp
+  class WorkerFeed;  // one worker's FrameFeed over the ring: the worker
+  /// Answer `request` with its terminal state: counters, the
+  /// req.decode span, client delivery. `shard` is the recording
+  /// worker's (or null); `decoded` is set for kOk only.
+  void Finish(Request& request, Status status, int tier, obs::Shard* shard,
+              const ldpc::DecodeResult* decoded = nullptr);
   /// Lifecycle span helper: one complete event ending now, starting
   /// `dur_us` ago, on `shard`'s trace track.
   void EmitSpan(obs::Shard* shard, const char* name, std::int64_t dur_us,
@@ -320,7 +322,7 @@ class DecodeService {
   ServiceConfig config_;
   std::vector<std::string> tier_specs_;
   // One lazily-filled decoder pool per shedding tier; worker w uses
-  // slot w of the tier the dispatcher selected for its batch.
+  // slot w of its current stream's tier.
   std::vector<std::unique_ptr<engine::DecoderPool>> tier_pools_;
   FaultInjector faults_;
 
@@ -341,15 +343,14 @@ class DecodeService {
       rejected_malformed_{0}, rejected_shutdown_{0}, admitted_{0}, ok_{0},
       shed_expired_{0}, failed_{0}, shed_shutdown_{0}, faults_injected_{0},
       check_accepted_{0}, check_rejected_{0};
-  std::atomic<std::uint64_t> tier_frames_[kNumShedTiers];
-  std::atomic<std::uint64_t> batch_counter_{0};
+  std::atomic<std::uint64_t> tier_frames_[kNumShedTiers] = {};
+  std::atomic<std::uint64_t> pull_counter_{0};  // StallBatch key
   std::atomic<std::uint64_t> trace_counter_{0};
-  /// Last journaled shed tier (dispatcher thread only; -1 = none).
-  int journal_last_tier_ = -1;
+  /// Last journaled shed tier (-1 = none).
+  std::atomic<int> journal_last_tier_{-1};
 
   std::unique_ptr<Metrics> metrics_;  // null = disabled
-  std::unique_ptr<engine::ThreadPool> pool_;
-  std::thread dispatcher_;
+  std::vector<std::thread> workers_;
   std::once_flag stop_once_;
 };
 

@@ -5,7 +5,7 @@
 // ## The shedding curve
 //
 // Let o = queue occupancy fraction (admission-ring size / capacity),
-// sampled by the dispatcher when it claims a batch. The service
+// sampled by a worker whenever it pops frames. The service
 // degrades in tiers:
 //
 //   tier 0 (normal)    o <  elevated_watermark (default 0.50)
@@ -20,8 +20,8 @@
 //
 // Budgets never drop below 1 iteration. Independent of the tier:
 //
-//   - a frame whose deadline has already expired when the dispatcher
-//     claims it is dropped before decode (status kShedExpired) — work
+//   - a frame whose deadline has already expired when a worker pops
+//     it is dropped before decode (status kShedExpired) — work
 //     the client can no longer use is never done;
 //   - a frame that cannot even be enqueued is rejected at admission
 //     (status kRejectedFull) — the ring is bounded, so queueing delay

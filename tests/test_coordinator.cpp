@@ -8,6 +8,7 @@
 // uninterrupted single-process reference.
 #include "dist/coordinator.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <filesystem>
@@ -119,9 +120,13 @@ TEST_F(CoordinatorTest, CleanRunMergesByteIdenticalToReference) {
   EXPECT_EQ(CounterValue(metrics, "shard.merges"), 3u);
   EXPECT_EQ(CounterValue(metrics, "shard.failures"), 0u);
   // The report's ledger is republished as gauges for the exporter.
-  for (const auto& g : metrics.Merge().gauges)
-    if (g.name == "shard.frames_assigned")
-      EXPECT_EQ(g.value, static_cast<double>(report.frames_assigned));
+  const auto gauges = metrics.Merge().gauges;
+  const auto assigned =
+      std::find_if(gauges.begin(), gauges.end(), [](const auto& g) {
+        return g.name == "shard.frames_assigned";
+      });
+  ASSERT_NE(assigned, gauges.end()) << "shard.frames_assigned not exported";
+  EXPECT_EQ(assigned->value, static_cast<double>(report.frames_assigned));
 }
 
 TEST_F(CoordinatorTest, SigkilledWorkersRetryToTheSameBytes) {

@@ -11,6 +11,7 @@
 #include <map>
 #include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -552,8 +553,8 @@ TEST_F(DecodeServiceTest, TraceIdsAreUniqueMonotonicAndSpansOrdered) {
   EXPECT_EQ(responses, kFrames);
 
   // Every sampled request emitted exactly one "req.queue" span
-  // (submit -> dequeue, dispatcher track) and one "req.decode" span
-  // (dequeue -> terminal, worker track).
+  // (submit -> dequeue) and one "req.decode" span (dequeue ->
+  // terminal), both on the worker's track.
   struct Span {
     std::uint64_t end_ns = 0;
     std::int64_t status = -2;
@@ -699,6 +700,208 @@ TEST_F(DecodeServiceTest, SyncMetricsCountersIsIdempotentAndExactAtStop) {
   EXPECT_EQ(lookup("serve.admitted"), stats.admitted);
   EXPECT_EQ(lookup("serve.ok"), stats.ok);
   EXPECT_EQ(lookup("serve.failed"), stats.failed);
+}
+
+TEST_F(DecodeServiceTest, DecodeTelemetryReportsLaneUtilisation) {
+  // The decoders' decode.* family rides the service's registry: each
+  // worker's stream records lane utilisation into its own shard.
+  obs::MetricsRegistry registry;
+  ServiceConfig config = BaseConfig();
+  config.decoder_spec = "fixed-layered-nms-i8:batch=8,iters=12";
+  config.max_batch = 8;
+  config.metrics = &registry;
+  DecodeService service(code(), config);
+  auto& client = service.Connect();
+  const auto frames = MakeFrames(code(), 24, 23);
+  for (std::size_t f = 0; f < frames.size(); ++f)
+    ASSERT_EQ(service.Submit(client, f, frames[f], FarDeadline()),
+              Admission::kAdmitted);
+  service.Stop();
+  EXPECT_EQ(service.Stats().ok, frames.size());
+
+  std::map<std::string, std::uint64_t> counters;
+  for (const auto& c : registry.Merge().counters) counters[c.name] = c.value;
+  const std::uint64_t run = counters.at("decode.lane_iterations_run");
+  const std::uint64_t used = counters.at("decode.lane_iterations_used");
+  EXPECT_GT(used, 0u);
+  EXPECT_LE(used, run);
+  EXPECT_GE(counters.at("decode.lane_groups"), 1u);
+  // The i8 saturation counters are registered (their values depend
+  // on the frames).
+  EXPECT_EQ(counters.count("decode.i8_msg_clamps"), 1u);
+  EXPECT_EQ(counters.count("decode.i8_bn_saturations"), 1u);
+}
+
+// --- Lane streams on C2 ---------------------------------------------
+
+/// One worker with a standing 32-lane int8 group on the CCSDS C2 code:
+/// the configuration where a batch used to deliver after its slowest
+/// lane.
+class LaneStreamServiceTest : public ::testing::Test {
+ protected:
+  LaneStreamServiceTest() : system_(codes::LoadCode("c2")) {}
+
+  ServiceConfig Config() const {
+    ServiceConfig config;
+    config.decoder_spec = "fixed-layered-nms-i8:batch=32";
+    config.workers = 1;
+    config.max_batch = 32;
+    return config;
+  }
+
+  const ldpc::LdpcCode& code() const { return *system_.code; }
+
+  /// A frame far below the waterfall: runs the whole 18-iteration
+  /// budget without converging (asserted against the offline decode).
+  std::vector<double> SlowFrame(std::uint64_t seed) const {
+    const std::vector<std::uint8_t> zeros(code().n(), 0);
+    return channel::TransmitBpskAwgn(zeros, -2.0, code().Rate(), seed);
+  }
+
+  /// All-zero LLRs: the all-zero hard decision satisfies every check
+  /// after the first iteration.
+  std::vector<double> QuickFrame() const {
+    return std::vector<double>(code().n(), 0.0);
+  }
+
+  /// Wait until the worker has popped everything submitted so far,
+  /// i.e. those frames are in (or being loaded into) its lanes.
+  static void AwaitPopped(const DecodeService& service) {
+    const auto give_up = ServiceClock::now() + std::chrono::seconds(30);
+    while (service.QueueDepth() != 0 && ServiceClock::now() < give_up)
+      std::this_thread::yield();
+  }
+
+  /// Every response the client holds, in arrival order.
+  static std::vector<DecodeResponse> Drain(DecodeClient& client) {
+    std::vector<DecodeResponse> out;
+    DecodeResponse response;
+    while (client.TryPop(response)) out.push_back(response);
+    return out;
+  }
+
+  codes::CatalogCode system_;
+};
+
+TEST_F(LaneStreamServiceTest, QuickFrameOvertakesSlowLaneNeighbour) {
+  DecodeService service(code(), Config());
+  auto& client = service.Connect();
+  const auto reference = ldpc::MakeDecoder(code(), service.tier_specs()[0]);
+  const std::map<std::uint64_t, std::vector<double>> sent = {
+      {1, SlowFrame(31)}, {2, QuickFrame()}};
+  const auto slow = reference->DecodeBatch(sent.at(1), 1)[0];
+  ASSERT_FALSE(slow.converged);
+  ASSERT_EQ(slow.iterations_run, 18);
+
+  ASSERT_EQ(service.Submit(client, 1, sent.at(1), FarDeadline()),
+            Admission::kAdmitted);
+  AwaitPopped(service);
+  ASSERT_EQ(service.Submit(client, 2, sent.at(2), FarDeadline()),
+            Admission::kAdmitted);
+  service.Stop();
+
+  // The quick frame took a free lane beside the slow one and was
+  // answered the moment it converged, 17 iterations before its
+  // neighbour.
+  const auto responses = Drain(client);
+  ASSERT_EQ(responses.size(), 2u);
+  EXPECT_EQ(responses[0].id, 2u);
+  EXPECT_EQ(responses[1].id, 1u);
+  for (const auto& response : responses) {
+    ASSERT_EQ(response.status, Status::kOk);
+    const auto expect = reference->DecodeBatch(sent.at(response.id), 1)[0];
+    EXPECT_EQ(response.bits, expect.bits) << "frame " << response.id;
+    EXPECT_EQ(response.iterations, expect.iterations_run);
+    EXPECT_EQ(response.converged, expect.converged);
+  }
+  EXPECT_EQ(responses[0].iterations, 1);
+}
+
+TEST_F(LaneStreamServiceTest, MidStreamThrowFailsOnlyTheFaultedFrame) {
+  ServiceConfig config = Config();
+  config.faults.seed = 5;
+  config.faults.decode_throw_permille = 500;
+  const FaultInjector oracle(config.faults);
+  // Ids from the seed's oracle: two clean slow frames, then one that
+  // throws when the worker pulls it beside them.
+  std::vector<std::uint64_t> clean;
+  std::uint64_t faulted = 0;
+  for (std::uint64_t id = 0; clean.size() < 3 || faulted == 0; ++id) {
+    if (!oracle.ThrowInDecode(id)) {
+      if (clean.size() < 3) clean.push_back(id);
+    } else if (faulted == 0) {
+      faulted = id;
+    }
+  }
+  DecodeService service(code(), config);
+  auto& client = service.Connect();
+  const auto reference = ldpc::MakeDecoder(code(), service.tier_specs()[0]);
+  std::map<std::uint64_t, std::vector<double>> sent;
+  sent[clean[0]] = SlowFrame(41);
+  sent[clean[1]] = SlowFrame(42);
+  sent[faulted] = SlowFrame(43);
+  sent[clean[2]] = QuickFrame();
+
+  for (const std::uint64_t id : {clean[0], clean[1]})
+    ASSERT_EQ(service.Submit(client, id, sent.at(id), FarDeadline()),
+              Admission::kAdmitted);
+  AwaitPopped(service);
+  // Pulled while the two slow frames sit in lanes: the throw leaves
+  // the stream mid-decode.
+  ASSERT_EQ(service.Submit(client, faulted, sent.at(faulted), FarDeadline()),
+            Admission::kAdmitted);
+  AwaitPopped(service);
+  // The worker keeps serving after the containment.
+  ASSERT_EQ(
+      service.Submit(client, clean[2], sent.at(clean[2]), FarDeadline()),
+      Admission::kAdmitted);
+  service.Stop();
+
+  const auto stats = service.Stats();
+  ExpectAccountingExact(stats);
+  EXPECT_EQ(stats.failed, 1u);
+  EXPECT_EQ(stats.ok, 3u);
+  EXPECT_EQ(stats.faults_injected, 1u);
+  const auto responses = Drain(client);
+  ASSERT_EQ(responses.size(), 4u);
+  for (const auto& response : responses) {
+    if (response.id == faulted) {
+      EXPECT_EQ(response.status, Status::kFailed);
+      EXPECT_TRUE(response.bits.empty());
+      continue;
+    }
+    ASSERT_EQ(response.status, Status::kOk) << "frame " << response.id;
+    const auto expect = reference->DecodeBatch(sent.at(response.id), 1)[0];
+    EXPECT_EQ(response.bits, expect.bits) << "frame " << response.id;
+    EXPECT_EQ(response.iterations, expect.iterations_run);
+    EXPECT_EQ(response.converged, expect.converged);
+  }
+}
+
+TEST_F(LaneStreamServiceTest, StopAnswersEveryFrameInTheLanes) {
+  DecodeService service(code(), Config());
+  auto& client = service.Connect();
+  const auto reference = ldpc::MakeDecoder(code(), service.tier_specs()[0]);
+  std::map<std::uint64_t, std::vector<double>> sent;
+  for (std::uint64_t id = 0; id < 6; ++id) {
+    sent[id] = SlowFrame(50 + id);
+    ASSERT_EQ(service.Submit(client, id, sent.at(id), FarDeadline()),
+              Admission::kAdmitted);
+  }
+  AwaitPopped(service);
+  service.Stop();  // lands while all six still run their iterations
+
+  const auto stats = service.Stats();
+  ExpectAccountingExact(stats);
+  EXPECT_EQ(stats.ok, 6u);
+  EXPECT_EQ(stats.shed_shutdown, 0u);
+  const auto responses = Drain(client);
+  ASSERT_EQ(responses.size(), 6u);
+  for (const auto& response : responses) {
+    ASSERT_EQ(response.status, Status::kOk);
+    const auto expect = reference->DecodeBatch(sent.at(response.id), 1)[0];
+    EXPECT_EQ(response.bits, expect.bits) << "frame " << response.id;
+  }
 }
 
 }  // namespace
