@@ -446,6 +446,57 @@ void BM_C2FixedI8LayeredDecodeBatched(benchmark::State& state) {
 BENCHMARK(BM_C2FixedI8LayeredDecodeBatched)->Arg(8)->Arg(16)->Arg(32)
     ->Unit(benchmark::kMillisecond);
 
+// The int8 decode with a live metrics sink installed: the kernel runs
+// its saturation-counting twin, so the gap to
+// BM_C2FixedI8LayeredDecodeBatched/32 is what metrics cost the
+// paper's datapath (bench/OBS_OVERHEAD.md).
+void BM_C2FixedI8LayeredDecodeBatchedMetrics(benchmark::State& state) {
+  const auto& system = C2();
+  const auto lanes = static_cast<std::size_t>(state.range(0));
+  ldpc::FixedMinSumOptions o;
+  o.iter.max_iterations = kThroughputIters;
+  o.iter.early_termination = false;
+  ldpc::BatchedFixedI8LayeredDecoder dec(*system.code, o, lanes);
+  const auto llrs = NoisyC2Frames(lanes, 33);
+  obs::MetricsRegistry registry;
+  const obs::DecodeMetricIds ids = obs::RegisterDecodeMetrics(registry);
+  registry.SetShardCount(1);
+  obs::ScopedDecodeSink sink(&registry.shard(0), &ids);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(dec.DecodeBatch(llrs, lanes));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(lanes));
+}
+BENCHMARK(BM_C2FixedI8LayeredDecodeBatchedMetrics)->Arg(32)
+    ->Unit(benchmark::kMillisecond);
+
+// One metrics histogram sample: obs::Shard::Record of values spread
+// over [0, range) — 18 is an iterations histogram, 20000 a latency
+// one in microseconds. The cost every ScopedTimer and every
+// per-frame histogram in the engine and the service pays.
+void BM_ShardRecord(benchmark::State& state) {
+  const auto range = static_cast<std::uint64_t>(state.range(0));
+  std::vector<std::int64_t> values(1 << 16);
+  std::uint64_t x = 12345;
+  for (auto& v : values) {
+    x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+    v = static_cast<std::int64_t>((x >> 33) % range);
+  }
+  obs::MetricsRegistry registry;
+  const obs::HistogramId id =
+      registry.Hist("bench.values", obs::Determinism::kWallClock, "us");
+  registry.SetShardCount(1);
+  obs::Shard& shard = registry.shard(0);
+  for (auto _ : state) {
+    for (const std::int64_t v : values) shard.Record(id, v);
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(values.size()));
+}
+BENCHMARK(BM_ShardRecord)->Arg(18)->Arg(20000);
+
 // --- Code catalog: the FT8(174, 91) code — the opposite decode
 // regime from C2 (83 one-check layers, irregular degree 6/7, 522
 // edges vs 32 704). Frames are tiny, so these benches report the

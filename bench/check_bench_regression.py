@@ -37,7 +37,9 @@ delta-telescoping identity (each delta == total - previous total),
 and exactly one final:true snapshot, on the last line. --against
 additionally requires the final snapshot's cumulative counter totals
 to equal the cldpc-metrics-v1 file's counters EXACTLY — the
-"snapshot sum equals final flush" identity. --min-count N (default 2)
+"snapshot sum equals final flush" identity — and its histograms'
+count/min/max/p50/p99 to equal the file's (both read the same
+buckets). --min-count N (default 2)
 fails streams shorter than N lines. Hard gate like
 --validate-metrics.
 
@@ -61,6 +63,8 @@ import sys
 METRICS_SCHEMA = "cldpc-metrics-v1"
 HIST_KEYS = {"unit", "count", "min", "max", "mean", "p50", "p90", "p99",
              "bins"}
+# The histogram fields a snapshot shares with the metrics file.
+HIST_SNAPSHOT_KEYS = ("count", "min", "max", "p50", "p99")
 
 # The shard.* namespace (src/dist/) is a machine interface consumed by
 # the CI kill-and-resume smoke: a misspelled or invented name would
@@ -295,6 +299,22 @@ def validate_snapshot_stream(docs, against=None, min_count=2):
         for name in final:
             check(name in against.get("counters", {}),
                   f"final snapshot counter {name} not in the metrics file")
+        # Both read the same histogram buckets, so the final snapshot's
+        # histogram fields equal the export's exactly too.
+        final_hists = docs[-1].get("histograms", {})
+        for name, hist in against.get("histograms", {}).items():
+            entry = final_hists.get(name)
+            if not check(entry is not None,
+                         f"final snapshot is missing histogram {name}"):
+                continue
+            for key in HIST_SNAPSHOT_KEYS:
+                check(entry.get(key) == hist.get(key),
+                      f"final snapshot histogram {name}.{key} = "
+                      f"{entry.get(key)!r}, metrics file says "
+                      f"{hist.get(key)!r}")
+        for name in final_hists:
+            check(name in against.get("histograms", {}),
+                  f"final snapshot histogram {name} not in the metrics file")
     return errors
 
 
@@ -480,15 +500,23 @@ def selftest():
                 "counters": counters, "histograms": hists or {},
                 "gauges": {}}
 
+    def shist(count, delta):
+        return {"count": count, "delta_count": delta, "min": 3, "max": 9,
+                "p50": 5, "p99": 9}
+
     good_snaps = [
         snap(1, 0, False, {"serve.ok": {"total": 10, "delta": 10}},
-             {"serve.decode_us": {"count": 10, "delta_count": 10}}),
+             {"serve.decode_us": shist(10, 10)}),
         snap(2, 200, False, {"serve.ok": {"total": 25, "delta": 15}},
-             {"serve.decode_us": {"count": 25, "delta_count": 15}}),
+             {"serve.decode_us": shist(25, 15)}),
         snap(3, 400, True, {"serve.ok": {"total": 30, "delta": 5}},
-             {"serve.decode_us": {"count": 30, "delta_count": 5}}),
+             {"serve.decode_us": shist(30, 5)}),
     ]
-    good_final = {"counters": {"serve.ok": 30}}
+    good_final = {"counters": {"serve.ok": 30},
+                  "histograms": {"serve.decode_us": {
+                      "unit": "us", "count": 30, "min": 3, "max": 9,
+                      "mean": 5.5, "p50": 5, "p90": 9, "p99": 9,
+                      "bins": [[3, 10], [5, 10], [9, 10]]}}}
 
     def msnap(fn):
         docs = json.loads(json.dumps(good_snaps))
@@ -564,6 +592,11 @@ def selftest():
             good_snaps, against={"counters": {"serve.ok": 31}}):
         print("selftest FAIL: final/flush total mismatch accepted")
         failures += 1
+    bad_hist_final = json.loads(json.dumps(good_final))
+    bad_hist_final["histograms"]["serve.decode_us"]["p99"] = 10
+    if not validate_snapshot_stream(good_snaps, against=bad_hist_final):
+        print("selftest FAIL: final/flush histogram mismatch accepted")
+        failures += 1
     if not validate_snapshot_stream(good_snaps, min_count=10):
         print("selftest FAIL: short stream accepted against --min-count")
         failures += 1
@@ -575,7 +608,7 @@ def selftest():
         if not validate_event_stream(docs):
             print(f"selftest FAIL: event mutation accepted: {label}")
             failures += 1
-    total = (1 + len(bad_docs) + 3 + len(bad_snaps) + 1 + len(bad_events))
+    total = (1 + len(bad_docs) + 4 + len(bad_snaps) + 1 + len(bad_events))
     if failures:
         print(f"selftest: {failures} failure(s)")
         return 1

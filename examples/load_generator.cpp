@@ -478,7 +478,7 @@ int RunMain(int argc, char** argv) {
   std::printf("\n%s", table.Render("Soak results").c_str());
 
   if (obs_session.metrics() != nullptr) {
-    for (const auto& h : registry.Merge().histograms) {
+    for (const auto& h : registry.Snapshot().histograms) {
       if (h.name != "serve.admission_us" && h.name != "serve.decode_us")
         continue;
       std::printf("%s: p50 %lld us, p99 %lld us (n=%llu)\n", h.name.c_str(),

@@ -119,7 +119,7 @@ void PointStats::MergeFrom(const PointStats& other) {
 StableCounters StableCounters::FromRegistry(
     const obs::MetricsRegistry& registry) {
   StableCounters c;
-  const auto merged = registry.Merge();
+  const auto merged = registry.Snapshot();
   for (const auto& counter : merged.counters) {
     if (counter.name == kFrames) c.frames = counter.value;
     else if (counter.name == kFrameErrors) c.frame_errors = counter.value;

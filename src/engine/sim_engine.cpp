@@ -82,6 +82,9 @@ SimEngine::SimEngine(const ldpc::LdpcCode& code, const ldpc::Encoder& encoder,
   CLDPC_EXPECTS(!config_.ebn0_db.empty(), "need at least one Eb/N0 point");
   CLDPC_EXPECTS(config_.max_frames > 0, "need at least one frame");
   CLDPC_EXPECTS(config_.batch_frames > 0, "need at least one frame per batch");
+  // The frame frontend runs the lane-kernel table: resolve it now, so
+  // a bad CLDPC_ISA fails here rather than inside a worker.
+  ldpc::core::ActiveLaneKernels();
   if (config_.info_bits_only) {
     // InfoCols is ascending; merge it into maximal runs.
     for (const std::size_t pos : code_.InfoCols()) {

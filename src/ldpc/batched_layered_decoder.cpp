@@ -11,7 +11,6 @@
 #include <sstream>
 
 #include "ldpc/core/dispatch.hpp"
-#include "obs/decode_sink.hpp"
 #include "util/contracts.hpp"
 
 namespace cldpc::ldpc {
@@ -69,6 +68,10 @@ BatchedLaneDecoder::BatchedLaneDecoder(const LdpcCode& code,
       max_lanes_(ValidatedLanes(max_lanes)),
       hard_(code.graph().num_bits()),
       syndrome_(code.schedule()) {
+  // Resolve the lane-kernel table now, so a bad CLDPC_ISA fails the
+  // decoder's construction (MakeDecoderFactory, the service's tier
+  // pools) instead of every decode on a worker.
+  core::ActiveLaneKernels();
   result_.bits.resize(code.graph().num_bits());
 }
 
@@ -252,20 +255,7 @@ void BatchedFixedI8LayeredDecoder::DecodeStream(FrameFeed& feed) {
   a.store = &msgs_;
   a.extr = extr_.data();
   a.bc = bc_.data();
-  // With a sink installed the kernel runs its saturation-counting
-  // twin; totals land in these locals and flush to the shard below.
-  std::uint64_t msg_clamps = 0;
-  std::uint64_t bn_saturations = 0;
-  obs::DecodeSink* sink = obs::CurrentDecodeSink();
-  if (sink != nullptr) {
-    a.msg_clamps = &msg_clamps;
-    a.bn_saturations = &bn_saturations;
-  }
   core::ActiveLaneKernels().decode_i8(a);
-  if (sink != nullptr) {
-    sink->shard->Add(sink->ids.msg_clamp_events, msg_clamps);
-    sink->shard->Add(sink->ids.bn_sat_events, bn_saturations);
-  }
 }
 
 }  // namespace cldpc::ldpc

@@ -115,12 +115,6 @@ struct LaneArgsI8 {
   CompressedCnLanes<FixedI8Datapath>* store = nullptr;
   std::int16_t* extr = nullptr;
   std::int8_t* bc = nullptr;  // narrowed CN input lanes
-  // Saturation-event counters (obs satellite): when non-null the
-  // kernel runs its counting twin and accumulates message-clamp /
-  // BN-accumulate-saturation event counts here; when null the
-  // uninstrumented loops run. Results are identical either way.
-  std::uint64_t* msg_clamps = nullptr;
-  std::uint64_t* bn_saturations = nullptr;
 };
 
 /// A batch's information bits (draw_info_bits): frame f's k bytes

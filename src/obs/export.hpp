@@ -23,8 +23,11 @@
 // dependent by definition). Everything NOT listed is a pure function
 // of (config, seed) — byte-identical for --threads=1 vs --threads=N —
 // and tooling may diff that subset hard (the CI does). "bins" are
-// exact [value, count] pairs, except in the SIGINT emergency flush,
-// which writes the live view's [log2-bucket upper bound, count].
+// [value, count] pairs, exact for |value| < 128; above that a bin's
+// value is its bucket's lower bound (32 log-linear buckets per power
+// of two, see obs::HistBucket), and p50/p90/p99 are the nearest-rank
+// bin values, within 1/32 below the true quantile. The final export
+// and the SIGINT emergency flush read the same buckets.
 //
 // ## Trace JSON
 //
@@ -41,9 +44,9 @@
 
 namespace cldpc::obs {
 
-/// The one cldpc-metrics-v1 writer: the final export writes the exact
-/// Merge() view, the SIGINT emergency flush (SnapshotPublisher) the
-/// live Snapshot() view.
+/// The one cldpc-metrics-v1 writer: the final export writes the
+/// quiescent Snapshot() view, the SIGINT emergency flush
+/// (SnapshotPublisher) a live one.
 void WriteMetricsJson(const MetricsView& metrics, std::ostream& os);
 
 /// Aligned text rendering of every counter, histogram summary and

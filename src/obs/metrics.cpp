@@ -1,6 +1,7 @@
 #include "obs/metrics.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "util/contracts.hpp"
 
@@ -40,10 +41,7 @@ HistogramId MetricsRegistry::Hist(const std::string& name, Determinism det,
   const auto id = static_cast<std::uint32_t>(hist_defs_.size());
   hist_defs_.push_back({name, det, unit});
   hist_index_.emplace(name, id);
-  for (auto& shard : shards_) {
-    shard->hists_.resize(hist_defs_.size());
-    shard->live_hists_.resize(hist_defs_.size());
-  }
+  for (auto& shard : shards_) shard->hists_.resize(hist_defs_.size());
   return {id};
 }
 
@@ -68,19 +66,15 @@ void MetricsRegistry::SetShardCount(std::size_t n) {
   // created (zero-filled slots; recorded data is preserved). This
   // lets control-plane code register late — e.g. the dist layer adds
   // shard.* bookkeeping to a registry an engine already sharded.
-  for (const auto& shard : shards_) {
-    shard->counters_.resize(counter_defs_.size(), 0);
-    shard->hists_.resize(hist_defs_.size());
-    shard->live_hists_.resize(hist_defs_.size());
-  }
   while (shards_.size() < n) {
     auto shard = std::make_unique<Shard>();
-    shard->counters_.resize(counter_defs_.size(), 0);
-    shard->hists_.resize(hist_defs_.size());
-    shard->live_hists_.resize(hist_defs_.size());
     shard->epoch_ = epoch_;
     shard->tracing_ = tracing_;
     shards_.push_back(std::move(shard));
+  }
+  for (const auto& shard : shards_) {
+    shard->counters_.resize(counter_defs_.size(), 0);
+    shard->hists_.resize(hist_defs_.size());
   }
 }
 
@@ -92,78 +86,62 @@ std::uint64_t MetricsRegistry::MergedCounter(CounterId id) const {
   return total;
 }
 
-MetricsView MetricsRegistry::CountersAndGauges() const {
+MetricsView MetricsRegistry::Snapshot() const {
+  namespace d = detail;
   MetricsView out;
   out.counters.reserve(counter_defs_.size());
   for (std::uint32_t c = 0; c < counter_defs_.size(); ++c) {
     out.counters.push_back(
         {counter_defs_[c].name, counter_defs_[c].det, MergedCounter({c})});
   }
-  std::lock_guard<std::mutex> lock(gauge_mutex_);
-  out.gauges.reserve(gauges_.size());
-  for (const auto& [name, value] : gauges_) out.gauges.push_back({name, value});
-  return out;
-}
-
-MetricsView MetricsRegistry::Merge() const {
-  MetricsView out = CountersAndGauges();
-  out.histograms.reserve(hist_defs_.size());
-  for (std::uint32_t h = 0; h < hist_defs_.size(); ++h) {
-    // In shard-index order: not needed for correctness (integer bin
-    // merges commute) but it keeps the walk order reproducible.
-    Histogram merged;
-    for (const auto& shard : shards_) merged.Merge(shard->hists_[h]);
-    const auto s = merged.Summarize();
-    out.histograms.push_back({hist_defs_[h].name, hist_defs_[h].det,
-                              hist_defs_[h].unit, s.count, s.min, s.max,
-                              s.mean, s.p50, s.p90, s.p99,
-                              {merged.bins().begin(), merged.bins().end()}});
+  {
+    std::lock_guard<std::mutex> lock(gauge_mutex_);
+    out.gauges.reserve(gauges_.size());
+    for (const auto& [name, value] : gauges_)
+      out.gauges.push_back({name, value});
   }
-  return out;
-}
-
-MetricsView MetricsRegistry::Snapshot() const {
-  namespace d = detail;
-  MetricsView out = CountersAndGauges();
   out.histograms.reserve(hist_defs_.size());
+  std::vector<std::uint64_t> buckets(kHistBuckets);
   for (std::uint32_t h = 0; h < hist_defs_.size(); ++h) {
     MetricsView::Hist merged;
     merged.name = hist_defs_[h].name;
     merged.det = hist_defs_[h].det;
     merged.unit = hist_defs_[h].unit;
-    std::uint64_t buckets[kLiveHistBuckets] = {};
+    std::fill(buckets.begin(), buckets.end(), 0);
     std::int64_t sum = 0;
     bool any = false;
     for (const auto& shard : shards_) {
-      const LiveHist& live = shard->live_hists_[h];
+      const HistCells& cells = shard->hists_[h];
       // Per-shard emptiness via the writer-maintained count; the
       // merged count below is re-derived from the bucket sum so one
       // snapshot can never report count > bucket mass.
-      if (d::RelaxedLoad(live.count) == 0) continue;
-      const std::int64_t lo = d::RelaxedLoad(live.min);
-      const std::int64_t hi = d::RelaxedLoad(live.max);
+      if (d::RelaxedLoad(cells.count) == 0) continue;
+      const std::int64_t lo = d::RelaxedLoad(cells.min);
+      const std::int64_t hi = d::RelaxedLoad(cells.max);
       merged.min = any ? std::min(merged.min, lo) : lo;
       merged.max = any ? std::max(merged.max, hi) : hi;
       any = true;
-      sum += d::RelaxedLoad(live.sum);
-      for (std::size_t b = 0; b < kLiveHistBuckets; ++b)
-        buckets[b] += d::RelaxedLoad(live.buckets[b]);
+      sum += d::RelaxedLoad(cells.sum);
+      for (std::size_t b = 0; b < kHistBuckets; ++b)
+        buckets[b] += d::RelaxedLoad(cells.buckets[b]);
     }
-    for (std::size_t b = 0; b < kLiveHistBuckets; ++b) {
+    for (std::size_t b = 0; b < kHistBuckets; ++b) {
       if (buckets[b] == 0) continue;
       merged.count += buckets[b];
-      merged.bins.emplace_back(LiveBucketUpperBound(b), buckets[b]);
+      merged.bins.emplace_back(HistBucketLowerBound(b), buckets[b]);
     }
     if (merged.count > 0) {
       merged.mean =
           static_cast<double>(sum) / static_cast<double>(merged.count);
+      // Nearest rank: the bin holding sample ceil(q·N), 1-based. Its
+      // lower bound may sit below every sample in it; min is exact.
       const auto quantile = [&](double q) {
         const auto rank = static_cast<std::uint64_t>(
-            q * static_cast<double>(merged.count - 1));
+            std::ceil(q * static_cast<double>(merged.count)));
         std::uint64_t seen = 0;
-        for (const auto& [upper, n] : merged.bins) {
+        for (const auto& [lower, n] : merged.bins) {
           seen += n;
-          if (seen > rank) return upper;
+          if (seen >= rank) return std::max(lower, merged.min);
         }
         return merged.max;
       };

@@ -30,7 +30,7 @@
 //
 // ## Threading contract
 //
-// Registration, SetShardCount, Merge and the exporters are
+// Registration, SetShardCount and the exporters are
 // control-plane: call them from one thread while no worker is
 // recording. Shard::Add/Record/events are data-plane: each shard may
 // be driven by exactly one thread at a time. Register every metric
@@ -38,20 +38,21 @@
 //
 // Snapshot() and SetGauge() are the exception: they may run
 // concurrently with data-plane recording (the snapshot publisher
-// lives on its own thread). Counter cells and the live histogram
-// stats are plain words accessed through relaxed std::atomic_ref on
-// both sides — the single-writer discipline means the writer's
-// load+add+store compiles to the same code as a plain `+=`, and the
-// reader never tears. A snapshot is therefore exact per cell but may
-// be racy-by-a-batch ACROSS cells (e.g. serve.ok sampled an instant
+// lives on its own thread). Counter cells and histogram cells are
+// plain words accessed through relaxed std::atomic_ref on both sides
+// — the single-writer discipline means the writer's load+add+store
+// compiles to the same code as a plain `+=`, and the reader never
+// tears. A snapshot is therefore exact per cell but may be
+// racy-by-a-batch ACROSS cells (e.g. serve.ok sampled an instant
 // before the matching tier counter); final post-Stop reads are exact.
-// The exact std::map histograms stay writer-only; snapshots read the
-// parallel LiveHist stats instead (log2-bucket approximation), so
-// they never touch node-based containers mid-mutation. Gauges are
-// mutex-protected. Registration/SetShardCount remain control-plane
-// only: they resize the cell storage a concurrent snapshot walks.
+// Every histogram is one fixed log-linear bucket array per shard
+// (HistBucket), so the live view, the SIGINT emergency flush and the
+// final export all read the same cells. Gauges are mutex-protected.
+// Registration/SetShardCount remain control-plane only: they resize
+// the cell storage a concurrent snapshot walks.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <chrono>
@@ -63,8 +64,6 @@
 #include <string>
 #include <utility>
 #include <vector>
-
-#include "util/histogram.hpp"
 
 namespace cldpc::obs {
 
@@ -112,35 +111,59 @@ inline void RelaxedStore(T& cell, T value) {
 }
 }  // namespace detail
 
-/// Log2-magnitude buckets for the live histogram view: bucket 0 holds
-/// values <= 0, bucket b >= 1 holds [2^(b-1), 2^b - 1]. 64 buckets
-/// cover the full non-negative int64 range.
-inline constexpr std::size_t kLiveHistBuckets = 64;
+/// The histogram bucket layout, fixed for every metric: one bucket
+/// per value for |v| < 2^kHistExactBits, then 2^kHistSubBits
+/// sub-buckets per power of two up to 2^kHistTopBits. Bins and
+/// quantiles report a bucket's lower bound, so for a true value q in
+/// (-2^7, 2^40) the reported q̂ satisfies q̂ <= q < q̂ * (1 + 1/32).
+/// Values beyond that range clamp into the first or last bucket;
+/// min and max stay exact.
+inline constexpr int kHistExactBits = 7;
+inline constexpr int kHistSubBits = 5;
+inline constexpr int kHistTopBits = 40;
+inline constexpr std::int64_t kHistExactLimit = std::int64_t{1}
+                                                << kHistExactBits;
+inline constexpr std::size_t kHistLinearBuckets = 2 * kHistExactLimit - 1;
+inline constexpr std::size_t kHistBuckets =
+    kHistLinearBuckets +
+    (std::size_t{kHistTopBits - kHistExactBits} << kHistSubBits);
 
-inline std::size_t LiveBucketFor(std::int64_t value) {
-  if (value <= 0) return 0;
-  return static_cast<std::size_t>(
-      std::bit_width(static_cast<std::uint64_t>(value)));
+inline std::size_t HistBucket(std::int64_t value) {
+  if (value < kHistExactLimit) {
+    return static_cast<std::size_t>(
+        std::max(value, 1 - kHistExactLimit) + kHistExactLimit - 1);
+  }
+  const auto u = static_cast<std::uint64_t>(
+      std::min(value, (std::int64_t{1} << kHistTopBits) - 1));
+  const int octave = std::bit_width(u) - 1;  // kHistExactBits .. 39
+  const std::uint64_t sub =
+      (u >> (octave - kHistSubBits)) & ((1u << kHistSubBits) - 1);
+  return kHistLinearBuckets +
+         (static_cast<std::size_t>(octave - kHistExactBits) << kHistSubBits) +
+         static_cast<std::size_t>(sub);
 }
 
-/// Inclusive upper bound of a bucket — what live quantiles report.
-inline std::int64_t LiveBucketUpperBound(std::size_t bucket) {
-  if (bucket == 0) return 0;
-  if (bucket >= 63) return std::numeric_limits<std::int64_t>::max();
-  return (std::int64_t{1} << bucket) - 1;
+/// Smallest value a bucket holds — what bins and quantiles report.
+inline std::int64_t HistBucketLowerBound(std::size_t bucket) {
+  if (bucket < kHistLinearBuckets)
+    return static_cast<std::int64_t>(bucket) - (kHistExactLimit - 1);
+  const std::size_t k = bucket - kHistLinearBuckets;
+  const int octave = kHistExactBits + static_cast<int>(k >> kHistSubBits);
+  const std::size_t sub = k & ((std::size_t{1} << kHistSubBits) - 1);
+  return static_cast<std::int64_t>((std::size_t{1} << kHistSubBits) + sub)
+         << (octave - kHistSubBits);
 }
 
-/// Snapshot-readable histogram stats maintained next to the exact
-/// std::map histogram: trivially-copyable words only, every field
-/// accessed through relaxed atomic_ref. `count` is redundant with the
-/// bucket sum for the writer; snapshot readers derive their count
-/// FROM the bucket sum so each snapshot is internally consistent.
-struct LiveHist {
+/// One histogram's cells in one shard: trivially-copyable words only,
+/// every field accessed through relaxed atomic_ref. `count` lets a
+/// reader skip an empty shard; readers derive their count FROM the
+/// bucket sum so each snapshot is internally consistent.
+struct HistCells {
   std::uint64_t count = 0;
   std::int64_t sum = 0;
-  std::int64_t min = 0;  // valid only while count > 0
-  std::int64_t max = 0;
-  std::uint64_t buckets[kLiveHistBuckets] = {};
+  std::int64_t min = std::numeric_limits<std::int64_t>::max();
+  std::int64_t max = std::numeric_limits<std::int64_t>::min();
+  std::uint64_t buckets[kHistBuckets] = {};
 };
 
 /// Per-worker metric storage. Obtained from MetricsRegistry::shard();
@@ -159,15 +182,19 @@ class Shard {
   void Set(CounterId id, std::uint64_t value) {
     detail::RelaxedStore(counters_[id.v], value);
   }
-  void Record(HistogramId id, std::int64_t value) {
-    hists_[id.v].Add(value);
-    LiveAdd(live_hists_[id.v], value, 1);
-  }
-  /// Bulk variant for replaying pre-aggregated bins (the dist layer
-  /// republishes merged shard histograms through this).
-  void Record(HistogramId id, std::int64_t value, std::uint64_t count) {
-    hists_[id.v].Add(value, count);
-    LiveAdd(live_hists_[id.v], value, count);
+  /// Add `count` samples of `value` (count > 1 replays
+  /// pre-aggregated bins, as the dist layer does). One bucket add plus
+  /// the count/sum/min/max cells; never allocates.
+  void Record(HistogramId id, std::int64_t value, std::uint64_t count = 1) {
+    namespace d = detail;
+    HistCells& h = hists_[id.v];
+    if (value < d::RelaxedLoad(h.min)) d::RelaxedStore(h.min, value);
+    if (value > d::RelaxedLoad(h.max)) d::RelaxedStore(h.max, value);
+    d::RelaxedStore(h.sum, d::RelaxedLoad(h.sum) +
+                               value * static_cast<std::int64_t>(count));
+    auto& bucket = h.buckets[HistBucket(value)];
+    d::RelaxedStore(bucket, d::RelaxedLoad(bucket) + count);
+    d::RelaxedStore(h.count, d::RelaxedLoad(h.count) + count);
   }
 
   bool tracing() const { return tracing_; }
@@ -183,41 +210,19 @@ class Shard {
  private:
   friend class MetricsRegistry;
 
-  static void LiveAdd(LiveHist& h, std::int64_t value, std::uint64_t count) {
-    namespace d = detail;
-    const std::uint64_t before = d::RelaxedLoad(h.count);
-    if (before == 0) {
-      d::RelaxedStore(h.min, value);
-      d::RelaxedStore(h.max, value);
-    } else {
-      if (value < d::RelaxedLoad(h.min)) d::RelaxedStore(h.min, value);
-      if (value > d::RelaxedLoad(h.max)) d::RelaxedStore(h.max, value);
-    }
-    d::RelaxedStore(h.sum, d::RelaxedLoad(h.sum) +
-                               value * static_cast<std::int64_t>(count));
-    auto& bucket = h.buckets[LiveBucketFor(value)];
-    d::RelaxedStore(bucket, d::RelaxedLoad(bucket) + count);
-    d::RelaxedStore(h.count, before + count);
-  }
-
   std::vector<std::uint64_t> counters_;
-  std::vector<Histogram> hists_;
-  std::vector<LiveHist> live_hists_;
+  std::vector<HistCells> hists_;
   std::vector<TraceEvent> events_;
   std::chrono::steady_clock::time_point epoch_;
   bool tracing_ = false;
 };
 
-/// The one export-ready view of a registry: what Merge() and
-/// Snapshot() both return, and what WriteMetricsJson /
-/// RenderMetricsTable render. Entries keep registration order, so
-/// exports are stable. The producers differ only in how exact the
-/// histogram fields are:
-///   Merge()    — `bins` are the recorded values; quantiles are
-///                Histogram::Summarize's nearest-rank values.
-///   Snapshot() — `bins` are [log2-bucket upper bound, count] pairs;
-///                each quantile is the upper bound of the bucket
-///                holding rank floor(q·(N−1)), within 2x of the truth.
+/// The one export-ready view of a registry: what Snapshot() returns
+/// and what WriteMetricsJson / RenderMetricsTable render. Entries keep
+/// registration order, so exports are stable. Histogram `bins` are
+/// [bucket lower bound, count] pairs (exact values for |v| < 128);
+/// each quantile is the nearest-rank one over those bins: the lower
+/// bound of the bucket holding rank ceil(q·N), raised to min.
 struct MetricsView {
   struct Counter {
     std::string name;
@@ -277,18 +282,14 @@ class MetricsRegistry {
   /// Sum of one counter over all shards (control-plane convenience).
   std::uint64_t MergedCounter(CounterId id) const;
 
-  /// Exact control-plane view, merged in shard order: shard 0 first,
-  /// then 1, 2, ... For integer counters and histograms the result is
-  /// independent of which worker recorded what — addition commutes —
-  /// which is what makes kStable metrics thread-count-invariant.
-  MetricsView Merge() const;
-
-  /// Live, non-stalling view from the counter cells and the LiveHist
-  /// log2 buckets; safe while workers record. Counters are exact per
-  /// cell, but cross-metric skew of up to one in-flight batch is
-  /// expected; after the data plane stops, counters, gauges and
-  /// histogram count/min/max equal Merge()'s. Never blocks or
-  /// perturbs the data plane; call from at most one thread at a time.
+  /// The registry's view, folded in shard order: shard 0 first, then
+  /// 1, 2, ... Integer counter and bucket sums do not depend on which
+  /// worker recorded what — addition commutes — which is what makes
+  /// kStable metrics thread-count-invariant. Safe while workers
+  /// record: cells are exact, but cross-metric skew of up to one
+  /// in-flight batch is expected; once the data plane stops the view
+  /// is exact. Never blocks or perturbs the data plane; call from at
+  /// most one thread at a time.
   MetricsView Snapshot() const;
 
   /// All trace events, tagged with their shard index (chrome tid).
@@ -304,9 +305,6 @@ class MetricsRegistry {
     Determinism det;
     std::string unit;
   };
-
-  /// A view with every counter and gauge filled in and no histograms.
-  MetricsView CountersAndGauges() const;
 
   std::vector<CounterDef> counter_defs_;
   std::vector<HistDef> hist_defs_;

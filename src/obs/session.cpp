@@ -73,7 +73,7 @@ void Session::Stop() {
 void Session::Export() {
   Stop();
   if (!enabled_) return;
-  const auto merged = registry_.Merge();
+  const auto merged = registry_.Snapshot();
   bool ok = true;
   if (!metrics_json_.empty()) {
     std::ofstream f(metrics_json_);

@@ -2,8 +2,9 @@
 // registry, the event journal and the snapshot publisher, and runs
 // them in the one safe order — subsystems register their metrics,
 // StartPublisher (registration resizes the shard storage a snapshot
-// walks), Stop (final exact snapshot, then close the journal), Export
-// (--metrics-json / --trace-json / --metrics from the exact Merge()).
+// walks), Stop (final snapshot, then close the journal), Export
+// (--metrics-json / --trace-json / --metrics from the quiescent
+// Snapshot()).
 //
 // Flags, by group (a binary names the optional groups it exposes, so
 // none reads a flag it did not read before):

@@ -21,10 +21,12 @@
 // publisher (first snapshot: delta == total), so deltas telescope:
 // the sum of every snapshot's delta equals the final total — the
 // identity bench/check_bench_regression.py --validate-snapshots
-// enforces. Histogram p50/p99 are log2-bucket upper bounds (see
-// MetricsRegistry::Snapshot); counts/totals are exact per cell but
-// may be skewed across cells by one in-flight batch, except in the
-// `final` snapshot, which is taken after the data plane stopped.
+// enforces. Histogram fields come from the same buckets and the same
+// quantile rule as the final export (MetricsRegistry::Snapshot), so
+// the `final` snapshot's count/min/max/p50/p99 equal the export's.
+// Counts/totals are exact per cell but may be skewed across cells by
+// one in-flight batch, except in the `final` snapshot, which is taken
+// after the data plane stopped.
 //
 // ## Outputs per tick
 //
@@ -41,9 +43,9 @@
 //
 // Each tick polls util::ShutdownRequested(); on the first observation
 // the publisher atomically writes `emergency_metrics_json` — the live
-// snapshot through the same WriteMetricsJson as the final export
-// (log2-bucket upper bounds standing in for exact bins) — so a process
-// that dies before Stop() still leaves a valid metrics artifact.
+// snapshot through the same WriteMetricsJson and the same histogram
+// buckets as the final export — so a process that dies before Stop()
+// still leaves a valid metrics artifact.
 //
 // Determinism: everything this file produces is wall-clock-dependent
 // observation; it never feeds back into decode results, and curves

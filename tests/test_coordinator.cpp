@@ -73,7 +73,7 @@ ShardResult Reference(const WorkUnit& whole) {
 
 std::uint64_t CounterValue(const obs::MetricsRegistry& registry,
                            const std::string& name) {
-  for (const auto& c : registry.Merge().counters)
+  for (const auto& c : registry.Snapshot().counters)
     if (c.name == name) return c.value;
   return 0;
 }
@@ -120,7 +120,7 @@ TEST_F(CoordinatorTest, CleanRunMergesByteIdenticalToReference) {
   EXPECT_EQ(CounterValue(metrics, "shard.merges"), 3u);
   EXPECT_EQ(CounterValue(metrics, "shard.failures"), 0u);
   // The report's ledger is republished as gauges for the exporter.
-  const auto gauges = metrics.Merge().gauges;
+  const auto gauges = metrics.Snapshot().gauges;
   const auto assigned =
       std::find_if(gauges.begin(), gauges.end(), [](const auto& g) {
         return g.name == "shard.frames_assigned";

@@ -76,7 +76,7 @@ ShardResult Reference(const WorkUnit& whole) {
 
 std::uint64_t CounterValue(const obs::MetricsRegistry& registry,
                            const std::string& name) {
-  for (const auto& c : registry.Merge().counters)
+  for (const auto& c : registry.Snapshot().counters)
     if (c.name == name) return c.value;
   return 0;
 }

@@ -308,7 +308,7 @@ TEST(SimEngineStreams, EarlyStopDiscardsRefilledSpeculation) {
       // 4-batch-per-worker window, plus the batch a worker may be
       // staging.
       double waste = -1.0;
-      for (const auto& g : registry.Merge().gauges)
+      for (const auto& g : registry.Snapshot().gauges)
         if (g.name == "engine.speculation_waste_frames") waste = g.value;
       EXPECT_GE(waste, 0.0);
       EXPECT_LE(waste, static_cast<double>(config.ebn0_db.size() * 5 *

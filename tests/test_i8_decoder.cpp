@@ -397,7 +397,7 @@ TEST(I8Decoder, SaturationCountersCountWithoutChangingResults) {
   for (std::size_t f = 0; f < frames; ++f)
     ExpectSameResult(counted[f], plain[f], "frame " + std::to_string(f));
 
-  const auto merged = registry.Merge();
+  const auto merged = registry.Snapshot();
   std::uint64_t msg_clamps = 0, bn_sats = 0;
   for (const auto& c : merged.counters) {
     if (c.name == "decode.i8_msg_clamps") msg_clamps = c.value;
@@ -423,7 +423,7 @@ TEST(I8Decoder, SaturationCountersQuietWhenWide) {
     obs::ScopedDecodeSink scope(&registry.shard(0), &ids);
     (void)decoder->DecodeBatch(llrs, frames);
   }
-  const auto merged = registry.Merge();
+  const auto merged = registry.Snapshot();
   for (const auto& c : merged.counters) {
     if (c.name == "decode.i8_bn_saturations") {
       EXPECT_EQ(c.value, 0u);

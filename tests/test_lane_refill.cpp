@@ -6,9 +6,11 @@
 // slow frames, and any way the feed chunks the frames or stalls.
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -20,6 +22,7 @@
 #include "ldpc/core/dispatch.hpp"
 #include "ldpc/core/registry.hpp"
 #include "ldpc/encoder.hpp"
+#include "obs/decode_sink.hpp"
 #include "obs/metrics.hpp"
 #include "qc/small_codes.hpp"
 #include "util/rng.hpp"
@@ -298,6 +301,87 @@ TEST(LaneRefill, ScalarDecodersStreamThroughDecodeBatch) {
   }
 }
 
+/// Hands out the mixed frames, the first pull only `first` of them and
+/// the second (still filling the first group) none, so the group runs
+/// its first iteration with idle lanes and pulls again at that
+/// iteration's boundary; `on_pull` runs at every pull from there on.
+class ProbeFeed final : public FrameFeed {
+ public:
+  ProbeFeed(std::size_t first, std::function<void()> on_pull)
+      : first_(first), on_pull_(std::move(on_pull)) {}
+
+  FrameChunk Pull(std::size_t max_frames, bool) override {
+    const std::size_t pull = pulls_++;
+    if (pull == 1) return {};
+    if (pull > 1) on_pull_();
+    const std::size_t n = SmallCode().n();
+    const std::size_t count = std::min(
+        {pull == 0 ? first_ : max_frames, max_frames, kFrames - next_});
+    const FrameChunk chunk{{MixedFrames().data() + next_ * n, count * n},
+                           count};
+    next_ += count;
+    return chunk;
+  }
+
+  bool Deliver(std::uint64_t, const DecodeResult&) override { return true; }
+
+  std::uint64_t Remaining() const override { return kFrames - next_; }
+
+ private:
+  static constexpr std::size_t kFrames = 100;
+  std::size_t first_;
+  std::function<void()> on_pull_;
+  std::size_t pulls_ = 0;
+  std::size_t next_ = 0;
+};
+
+std::uint64_t CounterValue(const obs::MetricsView& view,
+                           const std::string& name) {
+  for (const auto& c : view.counters)
+    if (c.name == name) return c.value;
+  ADD_FAILURE() << "no counter " << name;
+  return 0;
+}
+
+TEST(LaneTelemetry, LiveSnapshotSeesTheStandingStream) {
+  // A standing stream reports each iteration as it ends, so a live
+  // snapshot taken while it runs already sees its lane work.
+  obs::MetricsRegistry registry;
+  const auto ids = obs::RegisterDecodeMetrics(registry);
+  registry.SetShardCount(1);
+  const auto decoder = MakeDecoder(SmallCode(), "fixed-layered-nms-i8:batch=8");
+  std::uint64_t first_seen = 0;
+  ProbeFeed feed(4, [&] {
+    if (first_seen == 0)
+      first_seen =
+          CounterValue(registry.Snapshot(), "decode.lane_iterations_run");
+  });
+  {
+    const obs::ScopedDecodeSink sink(&registry.shard(0), &ids);
+    decoder->DecodeStream(feed);
+  }
+  EXPECT_GT(first_seen, 0u);
+  EXPECT_GT(registry.MergedCounter(ids.msg_clamp_events), 0u);
+}
+
+TEST(LaneTelemetry, ThrowingFeedKeepsTheSaturationCounts) {
+  // The feed fails at the first iteration boundary; the iteration it
+  // ran still reports its int8 saturation events.
+  obs::MetricsRegistry registry;
+  const auto ids = obs::RegisterDecodeMetrics(registry);
+  registry.SetShardCount(1);
+  const auto decoder = MakeDecoder(
+      SmallCode(), "fixed-layered-nms-i8:batch=8,wm=4,wapp=5,scale=8");
+  ProbeFeed feed(4, [] { throw std::runtime_error("feed failed"); });
+  {
+    const obs::ScopedDecodeSink sink(&registry.shard(0), &ids);
+    EXPECT_THROW(decoder->DecodeStream(feed), std::runtime_error);
+  }
+  const auto view = registry.Snapshot();
+  EXPECT_GT(CounterValue(view, "decode.i8_msg_clamps"), 0u);
+  EXPECT_EQ(CounterValue(view, "decode.lane_iterations_run"), 8u);
+}
+
 /// Lane utilisation on the benchmark's waterfall configuration: C2 at
 /// 3.7 dB, one thread, 128 frames, curve seed 8, 32 int8 lanes. Without
 /// refill a group ran until its slowest frame (utilisation ~0.37);
@@ -317,7 +401,7 @@ TEST(LaneRefill, UtilisationOnTheWaterfallConfiguration) {
   const auto curve = engine.Run(MakeDecoderFactory(
       *system.code, "fixed-layered-nms-i8:batch=32,iters=18,et=1,wm=6"));
   std::uint64_t run = 0, used = 0;
-  for (const auto& c : registry.Merge().counters) {
+  for (const auto& c : registry.Snapshot().counters) {
     if (c.name == "decode.lane_iterations_run") run = c.value;
     if (c.name == "decode.lane_iterations_used") used = c.value;
   }

@@ -67,8 +67,8 @@ TEST(MetricsRegistry, MergeIsShardOrderInvariant) {
   fill(a, false);
   MetricsRegistry b;
   fill(b, true);
-  const MetricsView ma = a.Merge();
-  const MetricsView mb = b.Merge();
+  const MetricsView ma = a.Snapshot();
+  const MetricsView mb = b.Snapshot();
   ASSERT_EQ(ma.counters.size(), 1u);
   EXPECT_EQ(ma.counters[0].value, 16u);
   EXPECT_EQ(ma.counters[0].value, mb.counters[0].value);
@@ -91,7 +91,7 @@ TEST(MetricsRegistry, GaugesOverwriteByName) {
   reg.SetGauge("g", 1.0);
   reg.SetGauge("g", 2.5);
   reg.SetGauge("other", -1.0);
-  const auto merged = reg.Merge();
+  const auto merged = reg.Snapshot();
   ASSERT_EQ(merged.gauges.size(), 2u);
   EXPECT_EQ(merged.gauges[0].name, "g");
   EXPECT_DOUBLE_EQ(merged.gauges[0].value, 2.5);
@@ -193,7 +193,7 @@ struct StableView {
 
 StableView Stable(const MetricsRegistry& reg) {
   StableView view;
-  const auto merged = reg.Merge();
+  const auto merged = reg.Snapshot();
   for (const auto& c : merged.counters)
     if (c.det == Determinism::kStable)
       view.counters.emplace_back(c.name, c.value);
@@ -234,7 +234,7 @@ TEST(ObsEngine, CountsMatchTheCurve) {
     frame_errors += p.frame_errors.errors();
     bit_errors += p.bit_errors.errors();
   }
-  const auto merged = reg.Merge();
+  const auto merged = reg.Snapshot();
   const auto counter = [&](const std::string& name) -> std::uint64_t {
     for (const auto& c : merged.counters)
       if (c.name == name) return c.value;
@@ -260,7 +260,7 @@ TEST(ObsEngine, BatchedDecoderReportsLaneOccupancy) {
   auto config = BaseConfig();
   config.batch_frames = 16;
   RunWith(config, &reg, "layered-nms-f32:batch=16,iters=10");
-  const auto merged = reg.Merge();
+  const auto merged = reg.Snapshot();
   std::uint64_t groups = 0;
   std::uint64_t filled = 0;
   std::uint64_t capacity = 0;
@@ -391,7 +391,7 @@ TEST(ObsExport, MetricsJsonBytesArePinned) {
   reg.shard(0).Record(iters, -1);
   reg.SetGauge("t.rate", 2.5);
   std::ostringstream os;
-  WriteMetricsJson(reg.Merge(), os);
+  WriteMetricsJson(reg.Snapshot(), os);
   EXPECT_EQ(os.str(),
             "{\n"
             "  \"schema\": \"cldpc-metrics-v1\",\n"
@@ -417,7 +417,7 @@ TEST(ObsExport, MetricsJsonIsWellFormedWithRequiredKeys) {
   (void)curve;
   reg.SetGauge("engine.frames_per_second", 123.5);
   std::ostringstream os;
-  WriteMetricsJson(reg.Merge(), os);
+  WriteMetricsJson(reg.Snapshot(), os);
   const std::string json = os.str();
   EXPECT_TRUE(JsonChecker(json).Valid()) << json;
   for (const char* key :
@@ -455,7 +455,7 @@ TEST(ObsExport, TracingOffProducesNoEvents) {
 TEST(ObsExport, TableTagsNondeterministicMetrics) {
   MetricsRegistry reg;
   RunWith(BaseConfig(), &reg);
-  const auto table = RenderMetricsTable(reg.Merge());
+  const auto table = RenderMetricsTable(reg.Snapshot());
   EXPECT_NE(table.find("engine.frames"), std::string::npos);
   EXPECT_NE(table.find("[scheduling]"), std::string::npos);
   EXPECT_NE(table.find("[wall-clock]"), std::string::npos);
@@ -472,6 +472,21 @@ TEST(AllocProbe, ActiveAndCounting) {
   delete p;
   EXPECT_GE(delta.count, 1u);
   EXPECT_GE(delta.bytes, sizeof(std::vector<int>));
+}
+
+TEST(AllocProbe, RecordAllocatesNothing) {
+  // Histogram storage is sized by SetShardCount; recording any number
+  // of distinct values afterwards is bucket adds only.
+  ASSERT_TRUE(AllocProbeActive());
+  MetricsRegistry reg;
+  const HistogramId h = reg.Hist("t.lat", Determinism::kWallClock, "us");
+  reg.SetShardCount(1);
+  Shard& shard = reg.shard(0);
+  const AllocStats before = AllocSnapshot();
+  for (std::int64_t v = 0; v < 10000; ++v) shard.Record(h, v * 977 - 300);
+  const AllocStats delta = AllocDelta(before);
+  EXPECT_EQ(delta.count, 0u);
+  EXPECT_EQ(reg.Snapshot().histograms[0].count, 10000u);
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -19,6 +20,7 @@
 
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
+#include "util/histogram.hpp"
 #include "util/json.hpp"
 #include "util/shutdown.hpp"
 
@@ -29,53 +31,85 @@ std::string TempPath(const std::string& name) {
   return ::testing::TempDir() + name;
 }
 
-// --- LiveHist bucket math -------------------------------------------
+// --- Histogram bucket math -----------------------------------------
 
-TEST(LiveHist, BucketBoundsTile) {
-  // Bucket 0 holds v <= 0; bucket b holds [2^(b-1), 2^b - 1]: every
-  // value lands in exactly one bucket whose upper bound is >= it.
-  EXPECT_EQ(LiveBucketFor(0), 0u);
-  EXPECT_EQ(LiveBucketFor(-5), 0u);
-  EXPECT_EQ(LiveBucketFor(1), 1u);
-  EXPECT_EQ(LiveBucketFor(2), 2u);
-  EXPECT_EQ(LiveBucketFor(3), 2u);
-  EXPECT_EQ(LiveBucketFor(4), 3u);
-  for (std::int64_t v : {1, 2, 3, 7, 8, 100, 4095, 4096, 1 << 20}) {
-    const std::size_t b = LiveBucketFor(v);
-    EXPECT_LE(v, LiveBucketUpperBound(b)) << v;
-    if (b > 1) {
-      EXPECT_GT(v, LiveBucketUpperBound(b - 1)) << v;
-    }
+TEST(HistBuckets, TileTheRange) {
+  // Lower bounds strictly increase and every bucket starts exactly
+  // where its predecessor ends, so each value lands in one bucket.
+  EXPECT_EQ(HistBucket(std::numeric_limits<std::int64_t>::min()), 0u);
+  EXPECT_EQ(HistBucket(-127), 0u);
+  EXPECT_EQ(HistBucket(std::numeric_limits<std::int64_t>::max()),
+            kHistBuckets - 1);
+  EXPECT_EQ(HistBucket((std::int64_t{1} << 40) - 1), kHistBuckets - 1);
+  for (std::size_t b = 1; b < kHistBuckets; ++b) {
+    const std::int64_t lower = HistBucketLowerBound(b);
+    ASSERT_GT(lower, HistBucketLowerBound(b - 1)) << b;
+    ASSERT_EQ(HistBucket(lower), b) << b;
+    ASSERT_EQ(HistBucket(lower - 1), b - 1) << b;
+  }
+}
+
+TEST(HistBuckets, ExactBelow128) {
+  for (std::int64_t v = -127; v < 128; ++v)
+    ASSERT_EQ(HistBucketLowerBound(HistBucket(v)), v) << v;
+  EXPECT_EQ(HistBucketLowerBound(HistBucket(128)), 128);
+  EXPECT_EQ(HistBucketLowerBound(HistBucket(131)), 128);
+}
+
+TEST(HistBuckets, LowerBoundWithinOneThirtySecond) {
+  // q̂ <= q < q̂ * (1 + 1/32) for every value the buckets resolve:
+  // all of [128, 2^16), then both edges of every bucket up to 2^40.
+  const auto check = [](std::int64_t v) {
+    const std::int64_t lower = HistBucketLowerBound(HistBucket(v));
+    ASSERT_LE(lower, v) << v;
+    ASSERT_LT(32 * v, 33 * lower) << v;
+  };
+  for (std::int64_t v = 128; v < (1 << 16); ++v) check(v);
+  for (std::size_t b = kHistLinearBuckets; b < kHistBuckets; ++b) {
+    check(HistBucketLowerBound(b));
+    const std::int64_t next = b + 1 < kHistBuckets
+                                  ? HistBucketLowerBound(b + 1)
+                                  : std::int64_t{1} << 40;
+    check(next - 1);
   }
 }
 
 // --- Registry snapshots ---------------------------------------------
 
 TEST(RegistrySnapshotTest, QuiescentSnapshotEqualsMerge) {
+  // The view of a quiescent registry is the exact merge of what the
+  // shards recorded: every value here is below 128, where buckets are
+  // exact, so all stats equal an exact nearest-rank histogram's.
   MetricsRegistry reg;
   const CounterId c = reg.Counter("t.count");
   const HistogramId h = reg.Hist("t.lat", Determinism::kWallClock, "us");
   reg.SetShardCount(3);
+  Histogram exact;
   for (std::size_t s = 0; s < 3; ++s) {
     reg.shard(s).Add(c, 10 * (s + 1));
-    for (int i = 1; i <= 8; ++i)
-      reg.shard(s).Record(h, static_cast<std::int64_t>(i * (s + 1)));
+    for (int i = 1; i <= 8; ++i) {
+      const auto v = static_cast<std::int64_t>(i * (s + 1));
+      reg.shard(s).Record(h, v);
+      exact.Add(v);
+    }
   }
   reg.SetGauge("t.gauge", 2.5);
 
   const auto live = reg.Snapshot();
-  const auto merged = reg.Merge();
-  ASSERT_EQ(live.counters.size(), merged.counters.size());
-  EXPECT_EQ(live.counters[0].value, merged.counters[0].value);
+  ASSERT_EQ(live.counters.size(), 1u);
+  EXPECT_EQ(live.counters[0].value, 60u);
   ASSERT_EQ(live.histograms.size(), 1u);
-  const auto& exact = merged.histograms[0];
-  EXPECT_EQ(live.histograms[0].count, exact.count);
-  EXPECT_EQ(live.histograms[0].min, exact.min);
-  EXPECT_EQ(live.histograms[0].max, exact.max);
-  EXPECT_DOUBLE_EQ(live.histograms[0].mean, exact.mean);
-  // Log2-bucket quantiles are upper bounds within 2x of the truth.
-  EXPECT_GE(live.histograms[0].p50, exact.p50);
-  EXPECT_LE(live.histograms[0].p50, 2 * exact.p50);
+  const auto& hist = live.histograms[0];
+  const auto want = exact.Summarize();
+  EXPECT_EQ(hist.count, want.count);
+  EXPECT_EQ(hist.min, want.min);
+  EXPECT_EQ(hist.max, want.max);
+  EXPECT_DOUBLE_EQ(hist.mean, want.mean);
+  EXPECT_EQ(hist.p50, want.p50);
+  EXPECT_EQ(hist.p90, want.p90);
+  EXPECT_EQ(hist.p99, want.p99);
+  EXPECT_EQ(hist.bins, (std::vector<std::pair<std::int64_t, std::uint64_t>>(
+                           exact.bins().begin(), exact.bins().end())));
   ASSERT_EQ(live.gauges.size(), 1u);
   EXPECT_DOUBLE_EQ(live.gauges[0].value, 2.5);
 }
@@ -146,11 +180,11 @@ TEST(RegistrySnapshotTest, ConcurrentSnapshotsSeeConsistentShards) {
   reader.join();
   EXPECT_GT(snapshots, 0u);
 
-  // Quiescent: the live view agrees exactly with the final merge.
+  // Quiescent: the view holds every recorded value.
   const auto final_snap = reg.Snapshot();
   EXPECT_EQ(final_snap.counters[0].value, kWriters * kPerWriter);
   EXPECT_EQ(final_snap.histograms[0].count, kWriters * kPerWriter);
-  EXPECT_EQ(reg.Merge().histograms[0].count, kWriters * kPerWriter);
+  EXPECT_EQ(final_snap.histograms[0].max, 1023);
 }
 
 // --- SnapshotPublisher ----------------------------------------------
@@ -291,7 +325,7 @@ TEST(SnapshotPublisherTest, EmergencyFlushOnShutdownRequest) {
   EXPECT_EQ(doc.At("schema").AsString(), "cldpc-metrics-v1");
   EXPECT_EQ(doc.At("counters").At("t.frames").AsUint(), 12u);
   EXPECT_EQ(doc.At("histograms").At("t.lat").At("count").AsUint(), 2u);
-  // Live log2 bins stand in for exact bins and still sum to count.
+  // The emergency doc carries the same bucket bins, summing to count.
   std::uint64_t bin_sum = 0;
   for (const auto& bin : doc.At("histograms").At("t.lat").At("bins").AsArray())
     bin_sum += bin.AsArray()[1].AsUint();
@@ -300,10 +334,9 @@ TEST(SnapshotPublisherTest, EmergencyFlushOnShutdownRequest) {
 }
 
 TEST(SnapshotPublisherTest, QuiescentEmergencyDocMatchesFinalExport) {
-  // Both documents come from the one cldpc-metrics-v1 writer: after
-  // quiescence the live view behind the emergency flush must agree
-  // with the exact export on everything the log2 buckets do not
-  // approximate.
+  // Both documents come from the one cldpc-metrics-v1 writer and the
+  // same histogram buckets: after quiescence the emergency flush must
+  // equal the final export in every field, bins and quantiles too.
   MetricsRegistry reg;
   const CounterId frames = reg.Counter("t.frames");
   const CounterId lanes = reg.Counter("t.lanes", Determinism::kScheduling);
@@ -333,23 +366,13 @@ TEST(SnapshotPublisherTest, QuiescentEmergencyDocMatchesFinalExport) {
   text << in.rdbuf();
   const auto emergency = util::JsonValue::Parse(text.str());
   std::ostringstream final_text;
-  WriteMetricsJson(reg.Merge(), final_text);
+  WriteMetricsJson(reg.Snapshot(), final_text);
   const auto exact = util::JsonValue::Parse(final_text.str());
 
-  for (const char* section :
-       {"schema", "counters", "gauges", "nondeterministic"}) {
+  for (const char* section : {"schema", "counters", "histograms", "gauges",
+                              "nondeterministic"}) {
     EXPECT_EQ(emergency.At(section).Serialize(), exact.At(section).Serialize())
         << section;
-  }
-  const auto& live_hists = emergency.At("histograms").AsObject();
-  const auto& exact_hists = exact.At("histograms").AsObject();
-  ASSERT_EQ(live_hists.size(), exact_hists.size());
-  for (const auto& [name, hist] : exact_hists) {
-    for (const char* field : {"count", "min", "max"}) {
-      EXPECT_EQ(live_hists.at(name).At(field).Serialize(),
-                hist.At(field).Serialize())
-          << name << "." << field;
-    }
   }
   std::remove(options.emergency_metrics_json.c_str());
 }

@@ -416,7 +416,7 @@ TEST_F(DecodeServiceTest, MetricsExportMatchesStatsExactly) {
 
   const auto stats = service.Stats();
   ExpectAccountingExact(stats);
-  const auto merged = registry.Merge();
+  const auto merged = registry.Snapshot();
   std::map<std::string, std::uint64_t> counters;
   for (const auto& c : merged.counters) counters[c.name] = c.value;
   EXPECT_EQ(counters.at("serve.submitted"), stats.submitted);
@@ -720,7 +720,7 @@ TEST_F(DecodeServiceTest, DecodeTelemetryReportsLaneUtilisation) {
   EXPECT_EQ(service.Stats().ok, frames.size());
 
   std::map<std::string, std::uint64_t> counters;
-  for (const auto& c : registry.Merge().counters) counters[c.name] = c.value;
+  for (const auto& c : registry.Snapshot().counters) counters[c.name] = c.value;
   const std::uint64_t run = counters.at("decode.lane_iterations_run");
   const std::uint64_t used = counters.at("decode.lane_iterations_used");
   EXPECT_GT(used, 0u);
