@@ -405,30 +405,12 @@ void BM_C2FixedLayeredDecodeScalar(benchmark::State& state) {
 }
 BENCHMARK(BM_C2FixedLayeredDecodeScalar)->Unit(benchmark::kMillisecond);
 
-void BM_C2FixedLayeredDecodeBatched(benchmark::State& state) {
-  const auto& system = C2();
-  const auto lanes = static_cast<std::size_t>(state.range(0));
-  ldpc::FixedMinSumOptions o;
-  o.iter.max_iterations = kThroughputIters;
-  o.iter.early_termination = false;
-  ldpc::BatchedFixedLayeredDecoder dec(*system.code, o, lanes);
-  const auto llrs = NoisyC2Frames(lanes, 33);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(dec.DecodeBatch(llrs, lanes));
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(lanes));
-}
-BENCHMARK(BM_C2FixedLayeredDecodeBatched)->Arg(8)
-    ->Unit(benchmark::kMillisecond);
-
-// The int8 lane datapath: the same fixed decode with messages in
-// int8 and APPs in int16, so each SIMD register carries 2-4x the
-// lanes. Byte-identical to BM_C2FixedLayeredDecodeBatched per frame
-// (tests/test_i8_decoder.cpp); the items/s ratio between the two is
-// the datapath's whole value proposition. Runs whatever ISA tier
-// runtime dispatch selected — set CLDPC_ISA=scalar|avx2|avx512 to
-// bench a specific tier.
+// The fixed-point lane engine: the same fixed decode with messages in
+// int8 and APPs in int16, lanes in groups of 32, 16 or 1 (a batch of
+// 8 runs a 16-lane group with 8 dead lanes). Byte-identical to
+// BM_C2FixedLayeredDecodeScalar per frame (tests/test_i8_decoder.cpp).
+// Runs whatever ISA tier runtime dispatch selected — set
+// CLDPC_ISA=scalar|avx2|avx512 to bench a specific tier.
 void BM_C2FixedI8LayeredDecodeBatched(benchmark::State& state) {
   const auto& system = C2();
   const auto lanes = static_cast<std::size_t>(state.range(0));
@@ -443,7 +425,7 @@ void BM_C2FixedI8LayeredDecodeBatched(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(lanes));
 }
-BENCHMARK(BM_C2FixedI8LayeredDecodeBatched)->Arg(8)->Arg(16)->Arg(32)
+BENCHMARK(BM_C2FixedI8LayeredDecodeBatched)->Arg(1)->Arg(8)->Arg(16)->Arg(32)
     ->Unit(benchmark::kMillisecond);
 
 // The int8 decode with a live metrics sink installed: the kernel runs

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <utility>
 
 #include "ldpc/core/dispatch.hpp"
 #include "util/contracts.hpp"
@@ -59,6 +60,14 @@ class SpanFeed final : public FrameFeed {
 };
 
 }  // namespace
+
+bool FitsI8Datapath(const FixedDatapathParams& datapath) {
+  const DyadicFraction& norm = datapath.normalization;
+  return datapath.message_bits >= 2 && datapath.message_bits <= 8 &&
+         datapath.app_bits >= datapath.message_bits &&
+         datapath.app_bits <= 14 && norm.shift >= 0 && norm.shift <= 8 &&
+         norm.num <= (Fixed{1} << norm.shift);
+}
 
 // ---- BatchedLaneDecoder (shared stream plumbing) -------------------
 
@@ -162,76 +171,23 @@ void BatchedLayeredDecoderF32::DecodeStream(FrameFeed& feed) {
   core::ActiveLaneKernels().decode_f32(a);
 }
 
-// ---- BatchedFixedLayeredDecoder (fixed-point lanes) ----------------
-
-BatchedFixedLayeredDecoder::BatchedFixedLayeredDecoder(
-    const LdpcCode& code, FixedMinSumOptions options, std::size_t max_lanes)
-    : BatchedLaneDecoder(code, max_lanes),
-      options_(options),
-      quantizer_(options.datapath.channel_bits,
-                 options.datapath.channel_scale) {
-  CLDPC_EXPECTS(options_.iter.max_iterations > 0, "need >= 1 iteration");
-  CLDPC_EXPECTS(options_.datapath.message_bits >= 2 &&
-                    options_.datapath.message_bits <= 16,
-                "message width out of range");
-  CLDPC_EXPECTS(options_.datapath.app_bits >= options_.datapath.message_bits,
-                "APP accumulator narrower than messages");
-  const std::size_t w = std::min(max_lanes_, kMaxLaneGroup);
-  app_.resize(code_.graph().num_bits() * w);
-  extr_.resize(code_.schedule().max_check_degree() * w);
-  bc_.resize(code_.schedule().max_check_degree() * w);
-  msgs_.Resize(code_.graph().num_checks(), w);
-}
-
-std::string BatchedFixedLayeredDecoder::Name() const {
-  std::ostringstream os;
-  os << "fixed-layered-nms(w" << options_.datapath.message_bits << ")";
-  return os.str();
-}
-
-void BatchedFixedLayeredDecoder::DecodeStream(FrameFeed& feed) {
-  core::LaneArgsFixed a;
-  FillCommon(a.common, feed, options_.iter);
-  a.norm = options_.datapath.normalization;
-  a.quantizer = &quantizer_;
-  a.message_bits = options_.datapath.message_bits;
-  a.app_bits = options_.datapath.app_bits;
-  a.app = app_.data();
-  a.store = &msgs_;
-  a.extr = extr_.data();
-  a.bc = bc_.data();
-  core::ActiveLaneKernels().decode_fixed(a);
-}
-
 // ---- BatchedFixedI8LayeredDecoder (int8 lanes) ---------------------
 
 BatchedFixedI8LayeredDecoder::BatchedFixedI8LayeredDecoder(
-    const LdpcCode& code, FixedMinSumOptions options, std::size_t max_lanes)
+    const LdpcCode& code, FixedMinSumOptions options, std::size_t max_lanes,
+    std::string kind)
     : BatchedLaneDecoder(code, max_lanes),
       options_(options),
+      kind_(std::move(kind)),
       quantizer_(options.datapath.channel_bits,
                  options.datapath.channel_scale) {
   CLDPC_EXPECTS(options_.iter.max_iterations > 0, "need >= 1 iteration");
-  // The FixedI8Datapath width contract (batch_kernel.hpp): int8
-  // messages, int16 APP arithmetic with headroom, normalization that
-  // never amplifies. Everything inside it is bit-identical to the
-  // int32 fixed datapath; everything outside is rejected here rather
-  // than silently wrapping.
-  CLDPC_EXPECTS(options_.datapath.message_bits >= 2 &&
-                    options_.datapath.message_bits <= 8,
-                "i8 datapath needs message width in [2, 8]");
-  CLDPC_EXPECTS(options_.datapath.app_bits >= options_.datapath.message_bits,
-                "APP accumulator narrower than messages");
-  CLDPC_EXPECTS(options_.datapath.app_bits <= 14,
-                "i8 datapath needs APP width <= 14 (int16 headroom)");
-  CLDPC_EXPECTS(options_.datapath.normalization.num <=
-                    (Fixed{1} << options_.datapath.normalization.shift),
-                "i8 datapath needs normalization factor <= 1");
-  CLDPC_EXPECTS(options_.datapath.normalization.shift >= 0 &&
-                    options_.datapath.normalization.shift <= 8,
-                "i8 datapath needs normalization denominator <= 256 "
-                "(the normalizer multiplies in int16)");
-  const std::size_t w = std::min(max_lanes_, kMaxLaneGroupI8);
+  // Outside the width contract the int8 lanes would silently wrap.
+  CLDPC_EXPECTS(FitsI8Datapath(options_.datapath),
+                "i8 datapath needs wm in [2, 8], wapp in [wm, 14] and a "
+                "normalization factor <= 1 with denominator <= 256");
+  // Sized for the widest group DecodeStream can run under this cap.
+  const std::size_t w = I8GroupWidth(max_lanes_);
   app_.resize(code_.graph().num_bits() * w);
   extr_.resize(code_.schedule().max_check_degree() * w);
   bc_.resize(code_.schedule().max_check_degree() * w);
@@ -240,7 +196,7 @@ BatchedFixedI8LayeredDecoder::BatchedFixedI8LayeredDecoder(
 
 std::string BatchedFixedI8LayeredDecoder::Name() const {
   std::ostringstream os;
-  os << "fixed-layered-nms-i8(w" << options_.datapath.message_bits << ")";
+  os << kind_ << "(w" << options_.datapath.message_bits << ")";
   return os.str();
 }
 

@@ -6,7 +6,7 @@
 // state stays O(checks * lanes) — the software analogue of the
 // paper's multi-frame compressed memory words.
 //
-// Four datapaths:
+// Three lane engines, one for fixed point and two for floating point:
 //   BatchedLayeredDecoder        — double lanes; per-lane results are
 //                                  byte-identical to LayeredMinSumDecoder
 //                                  (registry spec `layered-*:batch=N`).
@@ -15,22 +15,22 @@
 //                                  `layered-nms-f32`), validated by
 //                                  BER-curve equivalence, not byte
 //                                  identity.
-//   BatchedFixedLayeredDecoder   — bit-accurate fixed-point lanes;
-//                                  byte-identical per lane to
-//                                  FixedLayeredMinSumDecoder
-//                                  (`fixed-layered-nms:batch=N`).
-//   BatchedFixedI8LayeredDecoder — int8 message lanes over an int16
+//   BatchedFixedI8LayeredDecoder — the fixed-point lane engine: int8
+//                                  message lanes over an int16
 //                                  saturating APP accumulator; under
-//                                  its width contract byte-identical
-//                                  per lane to the int32 fixed
-//                                  decoders (`fixed-layered-nms-i8`),
-//                                  at 4x their lane density.
+//                                  its width contract (FitsI8Datapath)
+//                                  byte-identical per lane to
+//                                  FixedLayeredMinSumDecoder. It runs
+//                                  `fixed-layered-nms-i8` and, inside
+//                                  the contract,
+//                                  `fixed-layered-nms:batch=N`.
 //
-// Frames stream through one standing lane group of up to 16 lanes
-// (the i8 datapath: 32) — compile-time widths 32/16/8/4/2/1, the
-// widest that fits both the lane cap and the frames the stream can
-// still deliver. Each lane carries its own frame and iteration count:
-// early termination is tracked per lane with the incremental
+// Frames stream through one standing lane group. The float groups
+// are 16/8/4/2/1 lanes wide, the widest that fits both the lane cap
+// and the frames the stream can still deliver; the i8 groups are 32,
+// 16 or 1 lanes wide (I8GroupWidth), lanes past the cap left dead.
+// Each lane carries its own frame and iteration count: early
+// termination is tracked per lane with the incremental
 // BatchSyndromeTracker, and at every iteration boundary a lane whose
 // frame finished (converged, or out of iterations) is delivered and
 // reloaded with the next pending frame, so the group pays for the
@@ -56,7 +56,7 @@
 
 namespace cldpc::ldpc {
 
-/// Largest lane-group width the batched decoders instantiate; a
+/// Largest lane-group width the double and f32 engines instantiate; a
 /// larger lane cap runs a group this wide.
 inline constexpr std::size_t kMaxLaneGroup = 16;
 
@@ -65,11 +65,24 @@ inline constexpr std::size_t kMaxLaneGroup = 16;
 /// masks cap any further widening).
 inline constexpr std::size_t kMaxLaneGroupI8 = 32;
 
+/// The i8 lane group that holds up to `frames` frames: 32 lanes when
+/// 32 fit, one lane for a single frame, and 16 otherwise — an int8
+/// group of 2, 4 or 8 lanes costs more per call than a 16-lane one.
+constexpr std::size_t I8GroupWidth(std::size_t frames) {
+  return frames >= 32 ? 32 : (frames == 1 ? 1 : 16);
+}
+
+/// The FixedI8Datapath width contract (core/batch_kernel.hpp):
+/// message_bits in [2, 8], app_bits in [message_bits, 14] and a
+/// normalization factor <= 1 with a denominator <= 256. Inside it the
+/// int8 lane engine is byte-identical to the int32 fixed decoders.
+bool FitsI8Datapath(const FixedDatapathParams& datapath);
+
 namespace core {
 struct LaneDecodeCommon;
 }
 
-/// The stream plumbing the four lane-batched decoders share: Decode
+/// The stream plumbing the three lane-batched decoders share: Decode
 /// and DecodeBatch are streams over one fixed span, and each
 /// datapath's DecodeStream hands its lane buffers to the kernels.
 class BatchedLaneDecoder : public Decoder {
@@ -137,35 +150,21 @@ class BatchedLayeredDecoderF32 final : public BatchedLaneDecoder {
   core::CompressedCnLanes<core::Float32Datapath> msgs_;
 };
 
-class BatchedFixedLayeredDecoder final : public BatchedLaneDecoder {
- public:
-  BatchedFixedLayeredDecoder(const LdpcCode& code, FixedMinSumOptions options,
-                             std::size_t max_lanes);
-
-  void DecodeStream(FrameFeed& feed) override;
-  std::string Name() const override;
-
-  const FixedMinSumOptions& options() const { return options_; }
-
- private:
-  FixedMinSumOptions options_;
-  LlrQuantizer quantizer_;
-  std::vector<Fixed> app_, extr_, bc_;
-  core::CompressedCnLanes<core::FixedDatapath> msgs_;
-};
-
 /// The int8 lane datapath: CN messages travel as saturating int8
 /// lanes, APPs accumulate in int16 (the "wider intermediate"), and
-/// lane groups go up to 32 wide. Construction enforces the
-/// FixedI8Datapath width contract — message_bits <= 8, app_bits <= 14
-/// and normalization <= 1 — under which every lane reproduces the
+/// lane groups go up to 32 wide. Construction enforces the width
+/// contract (FitsI8Datapath), under which every lane reproduces the
 /// int32 FixedLayeredMinSumDecoder bit for bit (see batch_kernel.hpp
 /// for the argument), so the narrow datapath costs nothing in BER.
+/// `kind` is the name's stem: the registry builds this decoder for
+/// both `fixed-layered-nms-i8` and `fixed-layered-nms:batch=N`, and
+/// each keeps its own name.
 class BatchedFixedI8LayeredDecoder final : public BatchedLaneDecoder {
  public:
   BatchedFixedI8LayeredDecoder(const LdpcCode& code,
                                FixedMinSumOptions options,
-                               std::size_t max_lanes);
+                               std::size_t max_lanes,
+                               std::string kind = "fixed-layered-nms-i8");
 
   void DecodeStream(FrameFeed& feed) override;
   std::string Name() const override;
@@ -174,6 +173,7 @@ class BatchedFixedI8LayeredDecoder final : public BatchedLaneDecoder {
 
  private:
   FixedMinSumOptions options_;
+  std::string kind_;
   LlrQuantizer quantizer_;
   std::vector<std::int16_t> app_, extr_;  // int16 BN accumulator lanes
   std::vector<std::int8_t> bc_;           // narrowed CN input lanes

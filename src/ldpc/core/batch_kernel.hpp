@@ -19,16 +19,16 @@
 // keep the first (lowest-position) argmin, like the hardware
 // comparator tree.
 //
-// Datapaths: the scalar policies (FloatDatapath, FixedDatapath) plus
-// two batch-only variants —
+// Datapaths, one per lane engine:
+//   FloatDatapath   — the scalar double policy, lane-batched as is.
 //   Float32Datapath — single precision, double the SIMD width of the
 //                     double path; validated by BER-curve equivalence
 //                     (see BatchedLayeredDecoderF32).
-//   FixedI8Datapath — 8-bit saturating lanes (int16 APP accumulator
-//                     in the decoder), 4x the lanes of the int32
-//                     fixed path; value-identical to the int32 fixed
-//                     datapath whenever the word widths fit (see the
-//                     width contract on FixedI8Datapath below).
+//   FixedI8Datapath — the fixed-point lanes: 8-bit saturating
+//                     messages (int16 APP accumulator in the decoder);
+//                     value-identical to the scalar int32
+//                     FixedDatapath whenever the word widths fit (see
+//                     the width contract on FixedI8Datapath below).
 //
 // This header declares the shared, portable pieces (datapath
 // policies, BatchTraits, the kernel compiled at the build's baseline
@@ -94,7 +94,7 @@ struct Float32Datapath {
 /// normalization with round-to-nearest ties-away — and the decoder
 /// accumulates APPs in int16 (see BatchedFixedI8LayeredDecoder).
 ///
-/// Width contract (enforced by the i8 decoder/registry): message_bits
+/// Width contract (FitsI8Datapath, enforced by the i8 decoder): message_bits
 /// <= 8 so every CN input fits the symmetric int8 range [-127, 127],
 /// app_bits <= 14 so APP +- message fits int16 without wrapping, and
 /// normalization <= 1 so normalized magnitudes fit back into int8.
@@ -166,29 +166,6 @@ struct BatchTraits<Float32Datapath> {
 };
 
 template <>
-struct BatchTraits<FixedDatapath> {
-  using UInt = std::uint32_t;
-  using Index = Fixed;
-  static UInt SignMask(Fixed v) { return v < 0 ? ~UInt{0} : UInt{0}; }
-  static Fixed ApplySign(Fixed mag, UInt mask) {
-    // Branchless two's-complement conditional negate: mask is 0 or
-    // all-ones, (mag ^ -1) - (-1) == -mag, (mag ^ 0) - 0 == mag.
-    const Fixed m = static_cast<Fixed>(mask);
-    return (mag ^ m) - m;
-  }
-  /// DyadicFraction::Apply for mag >= 0: the sign select drops out
-  /// and the rounding constant is shift-invariant ((1 << -1) never
-  /// occurs because shift == 0 makes the addend 0).
-  static Fixed NormalizeMag(Fixed mag, const DyadicFraction& rule) {
-    const Fixed round = rule.shift == 0
-                            ? 0
-                            : (Fixed{1} << (rule.shift > 0 ? rule.shift - 1
-                                                           : 0));
-    return (mag * rule.num + round) >> rule.shift;
-  }
-};
-
-template <>
 struct BatchTraits<FixedI8Datapath> {
   using UInt = std::uint8_t;
   using Index = std::int8_t;  // positions are < 64, exact in int8
@@ -199,11 +176,12 @@ struct BatchTraits<FixedI8Datapath> {
     const std::int8_t m = static_cast<std::int8_t>(mask);
     return static_cast<std::int8_t>((mag ^ m) - m);
   }
-  /// The fixed normalizer on an int8 magnitude, computed in int16:
-  /// the i8 decoder's contract bounds shift <= 8 and num <= 2^shift,
-  /// so mag * num + round <= 127 * 256 + 128 fits int16 exactly and
-  /// the int16 truncation of the int-promoted product is
-  /// value-identical to BatchTraits<FixedDatapath>::NormalizeMag.
+  /// DyadicFraction::Apply on an int8 magnitude (mag >= 0, so the
+  /// sign select drops out), computed in int16: the i8 decoder's
+  /// contract bounds shift <= 8 and num <= 2^shift, so mag * num +
+  /// round <= 127 * 256 + 128 fits int16 exactly and the int16
+  /// truncation of the int-promoted product is value-identical to the
+  /// int32 normalizer.
   /// Staying narrow keeps the Store loop in 16-bit SIMD lanes instead
   /// of widening every lane to int32.
   static std::int8_t NormalizeMag(std::int8_t mag,

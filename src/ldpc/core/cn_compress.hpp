@@ -112,7 +112,7 @@ class CompressedCn {
 /// lane cover the kernel's 64-position degree contract — so sign
 /// extraction stays at the one SIMD width the lane loops vectorize at
 /// (a single 64-bit word per lane would wedge scalar shifts into the
-/// f32/fixed paths). Lane-width agnostic: the decoders size it once
+/// f32/i8 paths). Lane-width agnostic: the decoders size it once
 /// for their widest lane group and run narrower groups over a prefix,
 /// exactly like their other lane buffers.
 template <class Datapath>

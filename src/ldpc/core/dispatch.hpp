@@ -93,18 +93,6 @@ struct LaneArgsF32 {
   float* extr = nullptr;
 };
 
-struct LaneArgsFixed {
-  LaneDecodeCommon common;
-  DyadicFraction norm;
-  const LlrQuantizer* quantizer = nullptr;
-  int message_bits = 0;
-  int app_bits = 0;
-  Fixed* app = nullptr;
-  CompressedCnLanes<FixedDatapath>* store = nullptr;
-  Fixed* extr = nullptr;
-  Fixed* bc = nullptr;
-};
-
 struct LaneArgsI8 {
   LaneDecodeCommon common;
   DyadicFraction norm;
@@ -147,7 +135,6 @@ struct LaneKernelTable {
   const char* name = "";
   void (*decode_double)(const LaneArgsDouble&) = nullptr;
   void (*decode_f32)(const LaneArgsF32&) = nullptr;
-  void (*decode_fixed)(const LaneArgsFixed&) = nullptr;
   void (*decode_i8)(const LaneArgsI8&) = nullptr;
   void (*draw_info_bits)(const InfoBitsArgs&) = nullptr;
   void (*transmit_llrs)(const ChannelArgs&) = nullptr;

@@ -182,17 +182,22 @@ std::map<std::string, DecoderBuilder>& Registry() {
                                 const DecoderSpec& spec)
         -> std::unique_ptr<Decoder> {
       const auto options = FixedFromSpec(spec, /*layered=*/true);
+      // batch= runs the int8 lane engine, which is byte-identical to
+      // the scalar decoder inside its width contract and keeps this
+      // kind's name; outside the contract the scalar decoder runs.
       if (spec.Has("batch")) {
-        return std::make_unique<BatchedFixedLayeredDecoder>(
-            code, options, BatchFromSpec(spec, 1));
+        const std::size_t lanes = BatchFromSpec(spec, 1);
+        if (FitsI8Datapath(options.datapath)) {
+          return std::make_unique<BatchedFixedI8LayeredDecoder>(
+              code, options, lanes, "fixed-layered-nms");
+        }
       }
       return std::make_unique<FixedLayeredMinSumDecoder>(code, options);
     };
     // Int8 lane datapath: fixed-layered-nms's quantization semantics
-    // with messages in int8 lanes over an int16 APP accumulator —
-    // 4x the lane density of the int32 fixed path, and byte-identical
-    // to it per frame under the width contract the decoder enforces
-    // (wm <= 8, wapp <= 14, norm <= 1; the fixed defaults qualify).
+    // with messages in int8 lanes over an int16 APP accumulator,
+    // byte-identical to it per frame under the width contract the
+    // decoder enforces (FitsI8Datapath; the fixed defaults qualify).
     // Always batched; defaults to the full 32-lane group width.
     r["fixed-layered-nms-i8"] = [](const LdpcCode& code,
                                    const DecoderSpec& spec)

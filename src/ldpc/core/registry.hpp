@@ -30,16 +30,21 @@
 //
 // Layered kinds additionally take batch=<lanes> (in [1, 32]): decode
 // up to that many frames in SIMD lockstep per DecodeBatch call. On
-// layered-ms/nms/oms and fixed-layered-nms the batched decoder's
-// per-lane results are byte-identical to the scalar decoder, so
-// batch= is purely a throughput knob; layered-nms-f32 is always
-// batched (default batch=8) and trades bit-identity with the double
-// path for twice the SIMD width (BER-curve equivalent).
+// layered-ms/nms/oms the batched double-lane decoder's per-lane
+// results are byte-identical to the scalar decoder, so batch= is
+// purely a throughput knob; layered-nms-f32 is always batched
+// (default batch=8) and trades bit-identity with the double path for
+// twice the SIMD width (BER-curve equivalent).
 // fixed-layered-nms-i8 is always batched (default batch=32, lane
-// groups up to 32 wide) and is byte-identical per frame to
+// groups of 32, 16 or 1 lanes) and is byte-identical per frame to
 // fixed-layered-nms with the same params — its narrower words demand
 // wm in [2, 8], wapp in [wm, 14] and norm <= 1 (loud spec error
 // otherwise), which the fixed defaults satisfy.
+// fixed-layered-nms:batch=N runs that same int8 lane engine when its
+// widths fit that contract, and the scalar fixed decoder when they
+// do not; either way the results are the scalar decoder's byte for
+// byte and the name stays fixed-layered-nms(wN), so batch= is a
+// throughput knob there too.
 //
 // Examples: "layered-nms:alpha=1.25,batch=8", "fixed-nms:iters=50,wm=8",
 // "fixed-layered-nms:norm=13/16,et=0", "layered-nms-f32:batch=16",

@@ -86,6 +86,9 @@ TEST(BatchedDecoder, LayeredKindsByteIdenticalToScalar) {
       "fixed-layered-nms:iters=12",
       "fixed-layered-nms:iters=8,wm=5",
       "fixed-layered-nms:iters=6,et=0",
+      // Outside the int8 width contract: batch= runs the scalar
+      // decoder.
+      "fixed-layered-nms:iters=10,wm=10,wapp=16",
   };
   for (const char* spec : specs) {
     const auto scalar = MakeDecoder(code, spec);

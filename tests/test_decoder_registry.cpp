@@ -357,6 +357,24 @@ TEST(Registry, BuildsCanonicallyNamedDecoders) {
             0u);
 }
 
+// batch= on fixed-layered-nms runs the int8 lane engine inside its
+// width contract and the scalar decoder outside it; either way the
+// name (which curve labels and shard merges compare) is the scalar
+// decoder's, and the i8 kind keeps its own.
+TEST(Registry, BatchedFixedSpecsKeepTheirNames) {
+  const auto& code = SmallCode();
+  EXPECT_EQ(MakeDecoder(code, "fixed-layered-nms:batch=8")->Name(),
+            "fixed-layered-nms(w6)");
+  EXPECT_EQ(MakeDecoder(code, "fixed-layered-nms-i8")->Name(),
+            "fixed-layered-nms-i8(w6)");
+  EXPECT_EQ(
+      MakeDecoder(code, "fixed-layered-nms:wm=10,wapp=16,batch=8")->Name(),
+      "fixed-layered-nms(w10)");
+  // Outside the contract the lane count is still validated.
+  EXPECT_THROW(MakeDecoder(code, "fixed-layered-nms:wm=10,wapp=16,batch=33"),
+               ContractViolation);
+}
+
 TEST(Registry, AliasesResolveToSameDecoder) {
   const auto& code = SmallCode();
   EXPECT_EQ(MakeDecoder(code, "minsum")->Name(),

@@ -316,7 +316,6 @@ TEST(Dispatch, ScalarTableAlwaysUsable) {
   EXPECT_STREQ(scalar->name, "scalar");
   EXPECT_NE(scalar->decode_double, nullptr);
   EXPECT_NE(scalar->decode_f32, nullptr);
-  EXPECT_NE(scalar->decode_fixed, nullptr);
   EXPECT_NE(scalar->decode_i8, nullptr);
   EXPECT_TRUE(core::IsaAvailable(core::Isa::kScalar));
 }
@@ -464,7 +463,7 @@ std::vector<double> EdgeLlrFrames(const LdpcCode& code, std::size_t frames) {
 TEST(QuantizeIn, EdgeLlrsMatchScalarFixedDecoderOnEveryTier) {
   const auto& code = SmallCode();
   const auto original = core::DetectIsa();
-  // 37 frames: full 32-lane groups plus ragged 4- and 1-lane tails.
+  // 37 frames: more than one group's worth, so lanes refill.
   const std::size_t frames = 37;
   const auto llrs = EdgeLlrFrames(code, frames);
   // The second datapath's channel word (wc=8, max 127) is wider than

@@ -12,6 +12,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -77,10 +78,11 @@ struct TierGuard {
 };
 
 /// One lane policy: its batched spec (lane cap appended) and the
-/// oracle that decodes each frame alone. The int32 and i8 lanes match
-/// the scalar fixed decoder, the double lanes the scalar layered one;
-/// f32 has no scalar twin, so its oracle is a one-lane group per
-/// frame, which no other frame ever shares.
+/// oracle that decodes each frame alone. The i8 lanes match the
+/// scalar fixed decoder (reached through both fixed-layered-nms-i8
+/// and fixed-layered-nms:batch=N), the double lanes the scalar
+/// layered one; f32 has no scalar twin, so its oracle is a one-lane
+/// group per frame, which no other frame ever shares.
 struct LanePolicy {
   const char* name;
   std::string batched;
@@ -94,7 +96,7 @@ std::vector<LanePolicy> Policies(bool early_termination) {
       {"double", "layered-nms:alpha=1.23," + p, "layered-nms:alpha=1.23," + p},
       {"f32", "layered-nms-f32:alpha=1.23," + p,
        "layered-nms-f32:alpha=1.23,batch=1," + p},
-      {"int32", "fixed-layered-nms:" + p, "fixed-layered-nms:" + p},
+      {"fixed", "fixed-layered-nms:" + p, "fixed-layered-nms:" + p},
       {"i8", "fixed-layered-nms-i8:" + p, "fixed-layered-nms:" + p},
   };
 }
@@ -120,7 +122,8 @@ void ExpectSameResult(const DecodeResult& got, const DecodeResult& want,
 /// A feed over the first `frames` mixed frames that hands them out in
 /// chunks following `pattern` (cycled): p frames (capped by the
 /// request), or for p == 0 "nothing now" while the decoder has frames
-/// in flight. Records every delivery by stream number.
+/// in flight. Records every delivery by stream number, and the most
+/// frames the decoder ever held undelivered.
 class ChoppyFeed final : public FrameFeed {
  public:
   ChoppyFeed(std::size_t frames, std::vector<std::size_t> pattern)
@@ -142,6 +145,8 @@ class ChoppyFeed final : public FrameFeed {
     const FrameChunk chunk{{MixedFrames().data() + next_ * n, count * n},
                            count};
     next_ += count;
+    outstanding_ += count;
+    max_outstanding_ = std::max(max_outstanding_, outstanding_);
     return chunk;
   }
 
@@ -149,6 +154,7 @@ class ChoppyFeed final : public FrameFeed {
     EXPECT_LT(seq, next_) << "delivered a frame never pulled";
     EXPECT_FALSE(got_.at(seq).has_value()) << "frame " << seq << " twice";
     got_.at(seq) = result;
+    --outstanding_;
     return true;
   }
 
@@ -158,6 +164,7 @@ class ChoppyFeed final : public FrameFeed {
     return got_;
   }
   std::size_t stalls() const { return stalls_; }
+  std::size_t max_outstanding() const { return max_outstanding_; }
 
  private:
   std::size_t frames_;
@@ -165,6 +172,8 @@ class ChoppyFeed final : public FrameFeed {
   std::size_t next_ = 0;
   std::size_t step_ = 0;
   std::size_t stalls_ = 0;
+  std::size_t outstanding_ = 0;
+  std::size_t max_outstanding_ = 0;
   std::vector<std::optional<DecodeResult>> got_;
 };
 
@@ -244,6 +253,32 @@ TEST(LaneRefill, ChoppyFeedMatchesOracleOnEveryPolicyAndTier) {
           }
         }
       }
+    }
+  }
+}
+
+TEST(LaneRefill, GroupNeverHoldsMoreFramesThanTheLaneCap) {
+  // batch=8 runs a 16-lane int8 group; its lanes from 8 up stay dead.
+  const auto oracle = OracleResults("fixed-layered-nms:iters=18");
+  for (const char* spec : {"fixed-layered-nms-i8:iters=18,batch=8",
+                           "fixed-layered-nms:iters=18,batch=8"}) {
+    const auto decoder = MakeDecoder(SmallCode(), spec);
+    obs::MetricsRegistry registry;
+    const auto ids = obs::RegisterDecodeMetrics(registry);
+    registry.SetShardCount(1);
+    ChoppyFeed feed(20, {20});  // every frame the decoder asks for
+    {
+      const obs::ScopedDecodeSink sink(&registry.shard(0), &ids);
+      decoder->DecodeStream(feed);
+    }
+    EXPECT_EQ(feed.max_outstanding(), 8u) << spec;
+    // Occupancy counts the usable lanes, never more than the cap.
+    EXPECT_EQ(registry.MergedCounter(ids.lanes_filled), 8u) << spec;
+    EXPECT_EQ(registry.MergedCounter(ids.lane_capacity), 8u) << spec;
+    for (std::size_t f = 0; f < 20; ++f) {
+      ASSERT_TRUE(feed.got()[f].has_value()) << spec << " frame " << f;
+      ExpectSameResult(*feed.got()[f], oracle[f],
+                       std::string(spec) + " frame " + std::to_string(f));
     }
   }
 }
@@ -380,6 +415,30 @@ TEST(LaneTelemetry, ThrowingFeedKeepsTheSaturationCounts) {
   const auto view = registry.Snapshot();
   EXPECT_GT(CounterValue(view, "decode.i8_msg_clamps"), 0u);
   EXPECT_EQ(CounterValue(view, "decode.lane_iterations_run"), 8u);
+}
+
+TEST(LaneTelemetry, DeadLanesCountNothing) {
+  // batch=8 runs a 16-lane int8 group whose upper 8 lanes are dead. A
+  // one-frame decode first leaves its 1-lane layout in the buffers;
+  // the dead lanes must still add no saturation events.
+  const auto counts = [](bool decode_one_first) {
+    const auto decoder = MakeDecoder(
+        SmallCode(), "fixed-layered-nms-i8:batch=8,wm=4,wapp=5,scale=8");
+    const std::size_t n = SmallCode().n();
+    if (decode_one_first) decoder->Decode({MixedFrames().data() + 9 * n, n});
+    obs::MetricsRegistry registry;
+    const auto ids = obs::RegisterDecodeMetrics(registry);
+    registry.SetShardCount(1);
+    {
+      const obs::ScopedDecodeSink sink(&registry.shard(0), &ids);
+      decoder->DecodeBatch({MixedFrames().data(), 8 * n}, 8);
+    }
+    return std::pair(registry.MergedCounter(ids.msg_clamp_events),
+                     registry.MergedCounter(ids.bn_sat_events));
+  };
+  const auto fresh = counts(false);
+  EXPECT_GT(fresh.first, 0u);
+  EXPECT_EQ(counts(true), fresh);
 }
 
 /// Lane utilisation on the benchmark's waterfall configuration: C2 at
