@@ -97,7 +97,7 @@ struct DecodeService::Metrics {
       rejected_shutdown, admitted, ok, shed_expired, failed, shed_shutdown,
       responses_dropped, faults_injected, check_accepted, check_rejected;
   obs::CounterId tiers[kNumShedTiers];
-  obs::HistogramId admission_us, decode_us, queue_depth;
+  obs::HistogramId admission_us, decode_us, queue_depth, iterations;
   obs::DecodeMetricIds decode;
 
   Metrics(obs::MetricsRegistry& r, std::size_t workers) : reg(&r) {
@@ -121,6 +121,9 @@ struct DecodeService::Metrics {
     admission_us = r.Hist("serve.admission_us", D::kWallClock, "us");
     decode_us = r.Hist("serve.decode_us", D::kWallClock, "us");
     queue_depth = r.Hist("serve.queue_depth", D::kScheduling, "frames");
+    // Which frames are decoded (rather than shed) depends on timing,
+    // so unlike the engine's this decode.iterations is not kStable.
+    iterations = r.Hist("decode.iterations", D::kScheduling, "iterations");
     decode = obs::RegisterDecodeMetrics(r);
     // Worker w records into shard w; the counter flush
     // (SyncMetricsCounters) stores into shard `workers`, behind them.
@@ -438,6 +441,7 @@ void DecodeService::Finish(Request& request, Status status, int tier,
     if (shard) {
       shard->Record(metrics_->decode_us,
                     ElapsedUs(request.submitted, ServiceClock::now()));
+      shard->Record(metrics_->iterations, decoded->iterations_run);
       shard->Add(metrics_->tiers[static_cast<std::size_t>(tier)]);
     }
   }

@@ -15,7 +15,8 @@
 //     ISA tier produces byte-identical decodes, and the forced-ISA
 //     hook + name grammar behave.
 //  5. Saturation counters: with a sink installed the i8 decoder
-//     reports clamp events without changing any decode result.
+//     reports clamp events without changing any decode result, and
+//     the counts are exact (pinned per lane-group width and tier).
 //  6. Quantize-in: on every tier the fixed lane paths load exactly
 //     the scalar fixed decoder's channel words, including ties,
 //     saturation boundaries, huge values, infinities and NaN.
@@ -372,38 +373,133 @@ TEST(Dispatch, AllUsableTiersByteIdentical) {
 // ---- 5. Saturation counters. --------------------------------------
 
 // A deliberately tight datapath (wapp == wm == 4 with a hot channel
-// scale) must clamp constantly; the counters see it, and counting
-// must not change a single decoded bit.
-TEST(I8Decoder, SaturationCountersCountWithoutChangingResults) {
-  const auto& code = SmallCode();
-  const auto spec =
-      "fixed-layered-nms-i8:iters=8,wm=4,wapp=4,scale=8,batch=8";
-  const auto decoder = MakeDecoder(code, spec);
-  const std::size_t frames = 8;
-  const auto llrs = NoisyFrames(code, frames, 4.2, 42);
+// scale) clamps constantly; the counters see it, and counting must
+// not change a single decoded bit at any lane-group width: batch=1
+// runs a 1-lane group, batch=8 a 16-lane group with 8 dead lanes,
+// batch=32 a full 32-lane group.
+constexpr const char* kTightSpec =
+    "fixed-layered-nms-i8:iters=8,wm=4,wapp=4,scale=8";
+constexpr std::size_t kTightFrames = 40;
 
-  const auto plain = decoder->DecodeBatch(llrs, frames);
+const std::vector<double>& TightFrames() {
+  static const auto llrs =
+      NoisyFrames(SmallCode(), kTightFrames, 4.2, 42);
+  return llrs;
+}
 
+struct SaturationCounts {
+  std::uint64_t msg_clamps = 0;
+  std::uint64_t bn_saturations = 0;
+};
+
+/// Run `decode` with a decode sink installed and read both saturation
+/// counters back out of the registry.
+template <class Fn>
+SaturationCounts CountSaturations(const Fn& decode) {
   obs::MetricsRegistry registry;
   const obs::DecodeMetricIds ids = obs::RegisterDecodeMetrics(registry);
   registry.SetShardCount(1);
-  std::vector<DecodeResult> counted;
   {
     obs::ScopedDecodeSink scope(&registry.shard(0), &ids);
-    counted = decoder->DecodeBatch(llrs, frames);
+    decode();
   }
-  ASSERT_EQ(counted.size(), plain.size());
-  for (std::size_t f = 0; f < frames; ++f)
-    ExpectSameResult(counted[f], plain[f], "frame " + std::to_string(f));
+  return {registry.MergedCounter(ids.msg_clamp_events),
+          registry.MergedCounter(ids.bn_sat_events)};
+}
 
-  const auto merged = registry.Snapshot();
-  std::uint64_t msg_clamps = 0, bn_sats = 0;
-  for (const auto& c : merged.counters) {
-    if (c.name == "decode.i8_msg_clamps") msg_clamps = c.value;
-    if (c.name == "decode.i8_bn_saturations") bn_sats = c.value;
+std::string TightSpec(int batch) {
+  return std::string(kTightSpec) + ",batch=" + std::to_string(batch);
+}
+
+TEST(I8Decoder, SaturationCountersCountWithoutChangingResults) {
+  const auto& code = SmallCode();
+  for (const int batch : {1, 8, 32}) {
+    const auto decoder = MakeDecoder(code, TightSpec(batch));
+    const auto plain = decoder->DecodeBatch(TightFrames(), kTightFrames);
+    std::vector<DecodeResult> counted;
+    const auto counts = CountSaturations(
+        [&] { counted = decoder->DecodeBatch(TightFrames(), kTightFrames); });
+    ASSERT_EQ(counted.size(), plain.size());
+    for (std::size_t f = 0; f < kTightFrames; ++f)
+      ExpectSameResult(counted[f], plain[f],
+                       "batch=" + std::to_string(batch) + " frame " +
+                           std::to_string(f));
+    EXPECT_GT(counts.msg_clamps, 0u) << "batch=" << batch;
+    EXPECT_GT(counts.bn_saturations, 0u) << "batch=" << batch;
   }
-  EXPECT_GT(msg_clamps, 0u);
-  EXPECT_GT(bn_sats, 0u);
+}
+
+// A feed that stages TightFrames() in uneven chunks and sometimes
+// stages nothing while lanes are busy, so lanes idle and refill
+// mid-stream.
+class ChoppyFeed final : public FrameFeed {
+ public:
+  FrameChunk Pull(std::size_t max_frames, bool idle) override {
+    static constexpr std::size_t kPattern[] = {3, 0, 1, 0, 0, 7, 2, 0, 13, 1};
+    if (next_ == kTightFrames) return {};
+    std::size_t p = kPattern[step_++ % std::size(kPattern)];
+    if (p == 0) {
+      if (!idle) return {};
+      p = 1;  // an idle decoder must get a frame or the end
+    }
+    const std::size_t n = SmallCode().n();
+    const std::size_t count = std::min({p, max_frames, kTightFrames - next_});
+    const FrameChunk chunk{{TightFrames().data() + next_ * n, count * n},
+                           count};
+    next_ += count;
+    return chunk;
+  }
+  bool Deliver(std::uint64_t, const DecodeResult&) override { return true; }
+  std::uint64_t Remaining() const override { return kTightFrames - next_; }
+
+ private:
+  std::size_t next_ = 0;
+  std::size_t step_ = 0;
+};
+
+// The exact counts, recorded from the scalar-loop counting passes the
+// vectorised tallies replaced. A tally that drops or double-counts an
+// event, or counts a dead lane, moves them. They differ between
+// widths because lanes that hold no frame while they wait for a
+// refill keep iterating (and clamping) on their last frame's values.
+// Every ISA tier must give the same counts.
+TEST(I8Decoder, SaturationCountsMatchRecordedValues) {
+  struct Case {
+    int batch;
+    bool choppy;
+    SaturationCounts want;
+  };
+  const Case cases[] = {
+      {1, false, {6427, 53833}},
+      {8, false, {6470, 53877}},
+      {32, false, {6744, 54383}},
+      {8, true, {6678, 54115}},
+      {32, true, {6968, 54589}},
+  };
+  const auto& code = SmallCode();
+  const auto original = core::DetectIsa();
+  for (const auto isa :
+       {core::Isa::kScalar, core::Isa::kAvx2, core::Isa::kAvx512}) {
+    if (!core::IsaAvailable(isa)) continue;
+    core::ForceIsaForTesting(isa);
+    for (const Case& c : cases) {
+      const auto decoder = MakeDecoder(code, TightSpec(c.batch));
+      const auto got = CountSaturations([&] {
+        if (c.choppy) {
+          ChoppyFeed feed;
+          decoder->DecodeStream(feed);
+        } else {
+          (void)decoder->DecodeBatch(TightFrames(), kTightFrames);
+        }
+      });
+      const std::string what = std::string(core::IsaName(isa)) +
+                               " batch=" + std::to_string(c.batch) +
+                               (c.choppy ? " choppy" : "");
+      EXPECT_EQ(got.msg_clamps, c.want.msg_clamps) << what;
+      EXPECT_EQ(got.bn_saturations, c.want.bn_saturations) << what;
+    }
+  }
+  core::ForceIsaForTesting(original);
 }
 
 // Wide-open widths on a clean channel must count (near) nothing —

@@ -6,6 +6,7 @@
 // terminal counter.
 #include "serve/service.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <map>
@@ -431,10 +432,11 @@ TEST_F(DecodeServiceTest, MetricsExportMatchesStatsExactly) {
                 counters.at("serve.tier1_frames") +
                 counters.at("serve.tier2_frames"),
             stats.ok);
-  // Latency histograms sample exactly the decoded frames.
+  // Latency and iteration histograms sample exactly the decoded
+  // frames, those Contain re-decodes after a fault included.
   for (const auto& h : merged.histograms) {
-    if (h.name == "serve.decode_us") {
-      EXPECT_EQ(h.count, stats.ok);
+    if (h.name == "serve.decode_us" || h.name == "decode.iterations") {
+      EXPECT_EQ(h.count, stats.ok) << h.name;
     }
   }
 }
@@ -730,6 +732,45 @@ TEST_F(DecodeServiceTest, DecodeTelemetryReportsLaneUtilisation) {
   // on the frames).
   EXPECT_EQ(counters.count("decode.i8_msg_clamps"), 1u);
   EXPECT_EQ(counters.count("decode.i8_bn_saturations"), 1u);
+}
+
+TEST_F(DecodeServiceTest, DecodeIterationsSampleEveryOkFrame) {
+  obs::MetricsRegistry registry;
+  ServiceConfig config = BaseConfig();
+  config.decoder_spec = "fixed-layered-nms-i8:batch=8,iters=12";
+  config.max_batch = 8;
+  config.workers = 2;
+  config.metrics = &registry;
+  DecodeService service(code(), config);
+  auto& client = service.Connect();
+  const auto frames = MakeFrames(code(), 40, 31);
+  for (std::size_t f = 0; f < frames.size(); ++f)
+    ASSERT_EQ(service.Submit(client, f, frames[f], FarDeadline()),
+              Admission::kAdmitted);
+  service.Stop();
+  const auto stats = service.Stats();
+  EXPECT_EQ(stats.ok, frames.size());
+
+  const auto view = registry.Snapshot();
+  std::uint64_t ok = 0;
+  for (const auto& c : view.counters)
+    if (c.name == "serve.ok") ok = c.value;
+  EXPECT_EQ(ok, stats.ok);
+  const auto it = std::find_if(
+      view.histograms.begin(), view.histograms.end(),
+      [](const auto& h) { return h.name == "decode.iterations"; });
+  ASSERT_NE(it, view.histograms.end());
+  EXPECT_EQ(it->count, ok);
+  EXPECT_GE(it->min, 1);
+  EXPECT_LE(it->max, 12);
+  EXPECT_EQ(it->det, obs::Determinism::kScheduling);
+  // The responses carry the same iteration counts.
+  std::uint64_t sum = 0;
+  DecodeResponse response;
+  while (client.TryPop(response))
+    sum += static_cast<std::uint64_t>(response.iterations);
+  EXPECT_NEAR(it->mean * static_cast<double>(it->count),
+              static_cast<double>(sum), 1e-6);
 }
 
 // --- Lane streams on C2 ---------------------------------------------
