@@ -573,8 +573,8 @@ BENCHMARK(BM_Ft8LayeredDecodeBatched)->Arg(8);
 constexpr std::size_t kBenchLanes = 8;
 
 struct BenchFoldPolicy {
+  using AppValue = float;
   static constexpr bool kCountSat = false;
-  float UpdateApp(float extr, float cb) const { return extr + cb; }
 };
 
 std::vector<float> BenchLaneApp(std::size_t n, std::uint64_t seed) {
@@ -626,7 +626,6 @@ BENCHMARK(BM_C2BatchedLayeredIterStored);
 
 void BM_C2BatchedLayeredIterCompressed(benchmark::State& state) {
   using Datapath = ldpc::core::Float32Datapath;
-  using Batch = ldpc::core::CnUpdateBatch<Datapath, kBenchLanes>;
   const auto& sched = C2().code->schedule();
   const ldpc::core::Float32CheckRule rule{13.0f / 16.0f, 0.0f};
   const BenchFoldPolicy pol;
@@ -641,11 +640,11 @@ void BM_C2BatchedLayeredIterCompressed(benchmark::State& state) {
     for (std::size_t m = 0; m < sched.num_checks(); ++m) {
       const std::size_t dc = sched.Degree(m);
       const auto bits = sched.CheckBits(m);
-      msgs.Peel(m, dc, bits.data(), app.data(), extr.data());
-      const auto summary = Batch::Compute(extr.data(), dc, msgs.SignWords(m));
+      const auto summary = msgs.PeelScan(m, dc, bits.data(), app.data(),
+                                         extr.data(), pol, uncounted);
       msgs.Store(m, summary, rule);
-      msgs.FoldFresh(m, dc, bits.data(), extr.data(), extr.data(),
-                     app.data(), pol, uncounted);
+      msgs.FoldFresh(m, dc, bits.data(), extr.data(), app.data(), pol,
+                     uncounted);
     }
     benchmark::DoNotOptimize(app.data());
     benchmark::ClobberMemory();

@@ -190,7 +190,6 @@ BatchedFixedI8LayeredDecoder::BatchedFixedI8LayeredDecoder(
   const std::size_t w = I8GroupWidth(max_lanes_);
   app_.resize(code_.graph().num_bits() * w);
   extr_.resize(code_.schedule().max_check_degree() * w);
-  bc_.resize(code_.schedule().max_check_degree() * w);
   msgs_.Resize(code_.graph().num_checks(), w);
 }
 
@@ -210,7 +209,6 @@ void BatchedFixedI8LayeredDecoder::DecodeStream(FrameFeed& feed) {
   a.app = app_.data();
   a.store = &msgs_;
   a.extr = extr_.data();
-  a.bc = bc_.data();
   core::ActiveLaneKernels().decode_i8(a);
 }
 

@@ -176,7 +176,6 @@ class BatchedFixedI8LayeredDecoder final : public BatchedLaneDecoder {
   std::string kind_;
   LlrQuantizer quantizer_;
   std::vector<std::int16_t> app_, extr_;  // int16 BN accumulator lanes
-  std::vector<std::int8_t> bc_;           // narrowed CN input lanes
   core::CompressedCnLanes<core::FixedI8Datapath> msgs_;
 };
 

@@ -12,16 +12,16 @@
 //   CompressedCn<Datapath>       — one Record per check (scalar path)
 //   CompressedCnLanes<Datapath>  — field-major SoA records over
 //                                  checks x lanes (owning storage)
-//   CompressedCnView<Datapath,L> — the lane-templated Store/LoadRow
-//                                  kernels over that storage
+//   CompressedCnView<Datapath,L> — the lane-templated PeelScan/Store/
+//                                  FoldFresh kernels over that storage
 //
 // Reconstruction contract (the byte-identity guarantee): records
 // store the two exclusive-min magnitudes ALREADY normalized.
 // Normalize is a pure function applied to whichever min the argmin
 // select picks, so normalize-then-select equals select-then-normalize
-// bit for bit, and Load/LoadRow reproduce exactly the value
-// CnUpdate::Output / CnUpdateBatch::OutputRow computed when the
-// record was written. A zero-initialized record loads as +0 in every
+// bit for bit, and Load (and the lane passes' reconstruction)
+// reproduce exactly the value CnUpdate::Output /
+// CnUpdateBatch::OutputRow computed when the record was written. A zero-initialized record loads as +0 in every
 // datapath — identical to the "messages start at zero" state of a
 // stored-message decoder.
 //
@@ -35,6 +35,8 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <cstring>
+#include <type_traits>
 #include <vector>
 
 #include "ldpc/core/batch_kernel.hpp"

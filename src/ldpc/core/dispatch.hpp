@@ -1,11 +1,12 @@
 // Runtime ISA dispatch for the lane-batched decode kernels and the
 // simulation engine's frame-lane frontend (core/frame_lanes.inc).
 //
-// The batched decoders' hot loops (CnUpdateBatch scan, compressed
-// Peel/Store/FoldFresh, the lane-group engine) are compiled several
-// times — once per ISA, each kernel TU (ldpc/batched_lanes_*.cpp)
-// with its own -m flags and its own namespace so the linker cannot
-// merge the differently-compiled instantiations:
+// The batched decoders' hot loops (the compressed-record
+// PeelScan/Store/FoldFresh passes, the lane-group engine) are
+// compiled several times — once per ISA, each kernel TU
+// (ldpc/batched_lanes_*.cpp) with its own -m flags and its own
+// namespace so the linker cannot merge the differently-compiled
+// instantiations:
 //
 //   batched_lanes_scalar.cpp  — baseline flags (x86-64 SSE2 / the
 //                               target's default; on aarch64 this is
@@ -102,7 +103,6 @@ struct LaneArgsI8 {
   std::int16_t* app = nullptr;  // int16 BN accumulator lanes
   CompressedCnLanes<FixedI8Datapath>* store = nullptr;
   std::int16_t* extr = nullptr;
-  std::int8_t* bc = nullptr;  // narrowed CN input lanes
 };
 
 /// A batch's information bits (draw_info_bits): frame f's k bytes
