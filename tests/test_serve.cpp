@@ -825,7 +825,14 @@ class LaneStreamServiceTest : public ::testing::Test {
 };
 
 TEST_F(LaneStreamServiceTest, QuickFrameOvertakesSlowLaneNeighbour) {
-  DecodeService service(code(), Config());
+  // Every pull that takes a frame parks the worker for 100 ms before
+  // loading it, so the quick frame is submitted while the slow one
+  // waits to start: it cannot find the slow frame already finished,
+  // however fast the kernel.
+  ServiceConfig config = Config();
+  config.faults.stall_permille = 1000;
+  config.faults.stall_us = 100000;
+  DecodeService service(code(), config);
   auto& client = service.Connect();
   const auto reference = ldpc::MakeDecoder(code(), service.tier_specs()[0]);
   const std::map<std::uint64_t, std::vector<double>> sent = {
