@@ -21,9 +21,9 @@
 // select picks, so normalize-then-select equals select-then-normalize
 // bit for bit, and Load (and the lane passes' reconstruction)
 // reproduce exactly the value CnUpdate::Output /
-// CnUpdateBatch::OutputRow computed when the record was written. A zero-initialized record loads as +0 in every
-// datapath — identical to the "messages start at zero" state of a
-// stored-message decoder.
+// CnUpdateBatch::OutputRow computed when the record was written. A
+// zero-initialized record loads as +0 in every datapath — identical
+// to the "messages start at zero" state of a stored-message decoder.
 //
 // For the C2 code (dc = 32) the compressed form shrinks decoder
 // message state from 32 values per check (x lanes) to one ~5-word
@@ -37,6 +37,7 @@
 #include <cstdint>
 #include <cstring>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "ldpc/core/batch_kernel.hpp"
